@@ -1,10 +1,13 @@
-.PHONY: test acceptance regen-goldens
+.PHONY: test acceptance regen-goldens bench-smoke
 
 test:
-	python3 -m pytest
+	PYTHONPATH=src python3 -m pytest
 
 acceptance:
-	python3 -m pytest tests/test_acceptance.py -v -s
+	PYTHONPATH=src python3 -m pytest tests/test_acceptance.py -v -s
 
 regen-goldens:
 	python3 scripts/regen_goldens.py
+
+bench-smoke:
+	python3 -m pytest perfbench/test_smoke.py -q

@@ -14,10 +14,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from psysafe.diagnostics import format_diagnostic  # noqa: E402
-from psysafe.lints import LintConfig, apply_config, run_lints  # noqa: E402
+from psysafe.lints import LintConfig  # noqa: E402
 from psysafe.loader import load_model  # noqa: E402
 from psysafe.report import build_report, emit_json, emit_markdown  # noqa: E402
-from psysafe.structure import validate_structure  # noqa: E402
 
 
 def main() -> None:
@@ -34,12 +33,8 @@ def main() -> None:
     (golden / "report.md").write_text(emit_markdown(report),
                                       encoding="utf-8")
 
-    diags = apply_config(validate_structure(model.structure, model.spans),
-                         config)
-    diags.extend(run_lints(model, config))
-    diags.sort(key=lambda d: (d.span.file, d.span.start_line,
-                              d.span.start_col, d.rule))
-    listing = "".join(format_diagnostic(d) + "\n" for d in diags)
+    listing = "".join(format_diagnostic(d) + "\n"
+                      for d in report.diagnostics)
     (golden / "diagnostics.txt").write_text(listing, encoding="utf-8")
 
     for name in ("report.json", "report.md", "diagnostics.txt"):

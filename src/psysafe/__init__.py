@@ -18,13 +18,13 @@ from .model import (AnalysisModel, ControlAction, ControllabilityClass,
                     FeedbackLink, Hazard, Loss, LossScenario, PsySilLevel,
                     ResolveError, Responsibility, RiskAssessment,
                     SafetyGoal, ScenarioType, SeverityClass, Stake,
-                    Stakeholder, Uca, UcaKind, entity_kind, resolve)
+                    Stakeholder, Uca, UcaKind, resolve)
 from .psysil import PsySilCell, determine_psysil, goal_psysil, psysil_table
 from .structure import (CoverageRow, uca_category_coverage,
                         validate_structure)
 from .tracegraph import (EdgeType, TraceEdge, TraceGraph, build_trace_graph,
                          format_trace_tree, trace_from)
-from .lints import LintConfig, apply_config, parse_config, run_lints
+from .lints import LintConfig, analyze, apply_config, parse_config, run_lints
 from .printer import print_canonical
 from .loader import LoadError, load_model, load_sources
 from .report import Report, build_report, emit_json, emit_markdown
@@ -39,8 +39,8 @@ __all__ = [
     "ResolveError", "Responsibility", "RiskAssessment", "SafetyGoal",
     "ScenarioType", "Severity", "SeverityClass", "SourceSpan", "Stake",
     "Stakeholder", "Token", "TokenKind", "TraceEdge", "TraceGraph", "Uca",
-    "UcaKind", "apply_config", "build_report", "build_trace_graph",
-    "determine_psysil", "emit_json", "emit_markdown", "entity_kind",
+    "UcaKind", "analyze", "apply_config", "build_report", "build_trace_graph",
+    "determine_psysil", "emit_json", "emit_markdown",
     "format_diagnostic", "format_trace_tree", "goal_psysil",
     "load_model", "load_paper_example", "load_sources", "merge_raw_models",
     "parse", "parse_config", "print_canonical", "psysil_table", "resolve",

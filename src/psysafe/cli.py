@@ -20,6 +20,7 @@ canonical form). Setting ``NO_COLOR`` disables ANSI coloring.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -27,14 +28,14 @@ from typing import Sequence
 
 from .diagnostics import (Diagnostic, DiagnosticError, Severity,
                           SourceSpan, diag, format_diagnostic)
-from .lints import LintConfig, apply_config, parse_config, run_lints
+from .lints import LintConfig, analyze, parse_config
 from .loader import load_model
 from .model import (AnalysisModel, ControllabilityClass, ExposureClass,
                     PsySilLevel, SeverityClass, UcaKind)
 from .printer import print_canonical
 from .psysil import determine_psysil
 from .report import build_report, emit_json, emit_markdown
-from .structure import uca_category_coverage, validate_structure
+from .structure import uca_category_coverage
 from .tracegraph import format_trace_tree
 from . import __version__
 
@@ -83,7 +84,7 @@ def _load_config(files: Sequence[str], explicit: str | None,
         path = candidate
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DiagnosticError([diag(
             "PSY000", f"cannot read config file: {exc}",
             SourceSpan(str(path), 1, 1, 1, 1))]) from exc
@@ -91,19 +92,6 @@ def _load_config(files: Sequence[str], explicit: str | None,
     if any(d.severity is Severity.ERROR for d in diags):
         raise DiagnosticError(diags)
     return config
-
-
-def _analyze(files: Sequence[str], config: LintConfig
-             ) -> tuple[AnalysisModel, list[Diagnostic], LintConfig]:
-    model, allows = load_model(files)
-    config = LintConfig(overrides=config.overrides, strict=config.strict,
-                        allows=allows)
-    diags = apply_config(validate_structure(model.structure, model.spans),
-                         config)
-    diags.extend(run_lints(model, config))
-    diags.sort(key=lambda d: (d.span.file, d.span.start_line,
-                              d.span.start_col, d.rule))
-    return model, diags, config
 
 
 def _format_coverage(model: AnalysisModel) -> str:
@@ -122,12 +110,9 @@ def _format_coverage(model: AnalysisModel) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        config = _load_config(args.files, args.config, args.strict)
-        model, diags, _ = _analyze(args.files, config)
-    except DiagnosticError as err:
-        _print_diagnostics(err.diagnostics)
-        return EX_DATA
+    config = _load_config(args.files, args.config, args.strict)
+    model, allows = load_model(args.files)
+    diags = analyze(model, dataclasses.replace(config, allows=allows))
     _print_diagnostics(diags)
     if args.coverage:
         print(_format_coverage(model), end="")
@@ -149,29 +134,26 @@ def cmd_psysil(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        config = _load_config(args.files, None, False)
-        model, diags, config = _analyze(args.files, config)
-    except DiagnosticError as err:
-        _print_diagnostics(err.diagnostics)
-        return EX_DATA
-    report = build_report(model, config)
+    config = _load_config(args.files, None, False)
+    model, allows = load_model(args.files)
+    report = build_report(model, dataclasses.replace(config, allows=allows))
     text = emit_json(report) if args.format == "json" \
         else emit_markdown(report)
-    _print_diagnostics(diags)
+    _print_diagnostics(report.diagnostics)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"psysafe report: cannot write {args.out}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return EX_DATA
     else:
         print(text, end="")
-    return _findings_exit(diags, False)
+    return _findings_exit(report.diagnostics, False)
 
 
 def cmd_trace(args) -> int:
-    try:
-        model, _ = load_model(args.files)
-    except DiagnosticError as err:
-        _print_diagnostics(err.diagnostics)
-        return EX_DATA
+    model, _ = load_model(args.files)
     try:
         tree = format_trace_tree(model, args.from_id, args.dir)
     except KeyError:
@@ -183,11 +165,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    try:
-        model, _ = load_model(args.files)
-    except DiagnosticError as err:
-        _print_diagnostics(err.diagnostics)
-        return EX_DATA
+    model, _ = load_model(args.files)
     print(print_canonical(model), end="")
     return EX_OK
 
@@ -247,13 +225,21 @@ def build_arg_parser() -> _ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Entry point returning the process exit code."""
+    """Entry point returning the process exit code.
+
+    A command that cannot read, parse or resolve its input raises
+    :class:`DiagnosticError`; its findings are printed here, exit 2.
+    """
     parser = build_arg_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiagnosticError as err:
+        _print_diagnostics(err.diagnostics)
+        return EX_DATA
 
 
 def main() -> None:

@@ -108,12 +108,10 @@ def diag(rule: str, message: str, span: SourceSpan,
     return Diagnostic(rule, RULES[rule].default_severity, message, span, related)
 
 
-def sort_key(d: Diagnostic) -> tuple:
-    return (d.span.file, d.span.start_line, d.span.start_col, d.rule, d.message)
-
-
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diags, key=sort_key)
+    """The one diagnostic order: file, line, column, rule, message."""
+    return sorted(diags, key=lambda d: (d.span.file, d.span.start_line,
+                                        d.span.start_col, d.rule, d.message))
 
 
 _COLORS = {Severity.ERROR: "\x1b[31m", Severity.WARNING: "\x1b[33m",

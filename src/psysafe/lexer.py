@@ -39,7 +39,6 @@ KEYWORDS = frozenset({
     "inadequate_process_model",
     "assess", "severity", "exposure", "controllability", "rationale",
     "violates", "leads_to", "prevents",
-    "lint",
 })
 
 #: Keywords that may begin a declaration; the parser recovers to these.
@@ -126,15 +125,21 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                                     span_from(start_line, start_col)))
             continue
 
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and source[pos].isdigit():
+            while pos < n and "0" <= source[pos] <= "9":
                 pos += 1
                 col += 1
             text = source[start:pos]
+            try:
+                value = int(text)
+            except ValueError:  # beyond the interpreter's int-string limit
+                res.diagnostics.append(diag(
+                    "PSY000", f"integer literal too long ({len(text)} "
+                    "digits)", span_from(start_line, start_col)))
+                continue
             res.tokens.append(Token(TokenKind.INT, text,
-                                    span_from(start_line, start_col),
-                                    int(text)))
+                                    span_from(start_line, start_col), value))
             continue
 
         if _IDENT_START.match(ch):

@@ -16,6 +16,7 @@ from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
 from .lexer import TokenKind, tokenize
 from .model import AnalysisModel, ScenarioType
+from .structure import validate_structure
 
 SEVERITY_NAMES = {"error": Severity.ERROR, "warning": Severity.WARNING,
                   "info": Severity.INFO}
@@ -135,6 +136,15 @@ def run_lints(model: AnalysisModel,
     return sort_diagnostics(apply_config(diags, config))
 
 
+def analyze(model: AnalysisModel,
+            config: LintConfig | None = None) -> list[Diagnostic]:
+    """Every finding on a resolved model: structure validation and all
+    lints, with ``config`` applied, in :func:`sort_diagnostics` order."""
+    diags = apply_config(validate_structure(model.structure, model.spans),
+                         config)
+    return sort_diagnostics(diags + run_lints(model, config))
+
+
 def parse_config(source: str, file: str = "psysafe.conf",
                  strict: bool = False,
                  allows: Mapping[tuple[str, int], frozenset[str]]
@@ -151,7 +161,7 @@ def parse_config(source: str, file: str = "psysafe.conf",
     i = 0
     while i < len(toks):
         tok = toks[i]
-        if tok.kind is TokenKind.KEYWORD and tok.text == "lint":
+        if tok.kind is TokenKind.IDENT and tok.text == "lint":
             i += 1
             if i >= len(toks) or toks[i].text != "{":
                 diags.append(diag("PSY000", "expected '{' after 'lint'",

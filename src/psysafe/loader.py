@@ -60,7 +60,7 @@ def load_model(paths: Sequence[str | Path]
         name = str(path)
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise LoadError([diag(
                 "PSY000", f"cannot read file: {exc}",
                 SourceSpan(name, 1, 1, 1, 1))]) from exc

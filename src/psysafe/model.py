@@ -14,12 +14,15 @@ itself is a pure function of its input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .diagnostics import (Diagnostic, DiagnosticError, SourceSpan,
                           SYNTHETIC_SPAN, diag)
-from . import parser as raw
+
+if TYPE_CHECKING:
+    from .parser import RawModel
 
 
 class SeverityClass(enum.IntEnum):
@@ -118,6 +121,24 @@ class EntityKind(enum.Enum):
     RESPONSIBILITY = "responsibility"
     UCA = "uca"
     SCENARIO = "scenario"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class EdgeType(enum.Enum):
+    """Type of a traceability edge; see :data:`DECLS` for which reference
+    fields are traced."""
+
+    VIOLATES = "violates"
+    LEADS_TO = "leads_to"
+    PREVENTS = "prevents"
+    DERIVED_FROM = "derived_from"
+    ASSIGNED_TO = "assigned_to"
+    ON_ACTION = "on_action"
+    HAZARDS = "hazards"
+    FOR_UCA = "for_uca"
+    FOR_ACTION = "for_action"
 
     def __str__(self) -> str:
         return self.value
@@ -233,7 +254,8 @@ class LossScenario:
     id: str
     #: UCA (type 1) or control action (type 2) the scenario explains.
     for_ref: str
-    scenario_type: ScenarioType
+    #: Left None by the parser; resolution derives it from ``for_ref``.
+    scenario_type: ScenarioType | None
     factor: CausalFactor
     description: str
 
@@ -245,6 +267,95 @@ class RiskAssessment:
     exposure: ExposureClass
     controllability: ControllabilityClass
     rationale: str | None = None
+
+
+@dataclass(frozen=True)
+class Ref:
+    """One reference field of a declaration type."""
+
+    #: Attribute holding the referenced ID, or a frozenset of IDs.
+    attr: str
+    #: Kinds the field may name, in message order; None accepts any
+    #: declared entity.
+    kinds: tuple[EntityKind, ...] | None
+    #: Trace edge from the declaration to each target: one type, one per
+    #: target kind, or None when the field is not traced.
+    edge: EdgeType | dict[EntityKind, EdgeType] | None = None
+    #: Names the field in PSY011 wrong-kind messages, when not ``attr``.
+    label: str | None = None
+
+    def targets(self, decl) -> Iterable[str]:
+        value = getattr(decl, self.attr)
+        return (value,) if isinstance(value, str) else value
+
+    @property
+    def expected(self) -> str:
+        """The accepted kinds as PSY011 messages spell them."""
+        if self.kinds is None:
+            return "entity"
+        return " or ".join(k.value for k in self.kinds)
+
+    def edge_to(self, kind: EntityKind | None) -> EdgeType | None:
+        if isinstance(self.edge, dict):
+            return self.edge.get(kind)
+        return self.edge
+
+
+@dataclass(frozen=True)
+class DeclSpec:
+    """What the model knows about one declaration type."""
+
+    #: Where the resolved declarations live on an :class:`AnalysisModel`.
+    path: str
+    #: Kind of the declared ID; None for entities, whose ``kind`` field
+    #: says it.
+    kind: EntityKind | None
+    refs: tuple[Ref, ...] = ()
+    #: False for assessments, which are keyed by the hazard they rate.
+    declares_id: bool = True
+
+    def items(self, model: AnalysisModel) -> Iterable:
+        return attrgetter(self.path)(model)
+
+
+_K, _E = EntityKind, EdgeType
+_NODES = (_K.CONTROLLER, _K.PROCESS)
+
+#: The single table of declaration types: resolution checks every
+#: reference field against it, and the trace graph has one edge per
+#: traced reference. Stake holders and action/feedback endpoints are not
+#: traced.
+DECLS: dict[type, DeclSpec] = {
+    Stakeholder: DeclSpec("stakeholders", _K.STAKEHOLDER),
+    Stake: DeclSpec("stakes", _K.STAKE, (
+        Ref("holder", (_K.STAKEHOLDER,)),)),
+    Loss: DeclSpec("losses", _K.LOSS, (
+        Ref("violates", (_K.STAKE,), _E.VIOLATES),)),
+    Hazard: DeclSpec("hazards", _K.HAZARD, (
+        Ref("leads_to", (_K.LOSS,), _E.LEADS_TO),)),
+    SafetyGoal: DeclSpec("goals", _K.GOAL, (
+        Ref("prevents", (_K.HAZARD,), _E.PREVENTS),)),
+    Entity: DeclSpec("structure.entities", None),
+    ControlAction: DeclSpec("structure.actions", _K.ACTION, (
+        Ref("source", _NODES, label="action source"),
+        Ref("target", _NODES, label="action target"))),
+    FeedbackLink: DeclSpec("structure.feedbacks", _K.FEEDBACK, (
+        Ref("source", _NODES, label="feedback source"),
+        Ref("target", _NODES, label="feedback target"))),
+    # Any existing assignee resolves: non-structure assignees are a lint
+    # (PSY012), not a resolution failure.
+    Responsibility: DeclSpec("responsibilities", _K.RESPONSIBILITY, (
+        Ref("assignee", None, _E.ASSIGNED_TO),
+        Ref("derived_from", (_K.GOAL,), _E.DERIVED_FROM))),
+    Uca: DeclSpec("ucas", _K.UCA, (
+        Ref("on", (_K.ACTION, _K.FEEDBACK), _E.ON_ACTION),
+        Ref("hazards", (_K.HAZARD,), _E.HAZARDS))),
+    LossScenario: DeclSpec("scenarios", _K.SCENARIO, (
+        Ref("for_ref", (_K.UCA, _K.ACTION),
+            {_K.UCA: _E.FOR_UCA, _K.ACTION: _E.FOR_ACTION}, label="for"),)),
+    RiskAssessment: DeclSpec("assessments", None, (
+        Ref("hazard", (_K.HAZARD,)),), declares_id=False),
+}
 
 
 @dataclass(frozen=True, eq=True)
@@ -274,25 +385,13 @@ class AnalysisModel:
     _kinds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        kinds: dict[str, EntityKind] = {}
-        for coll, kind in (
-                (self.stakeholders, EntityKind.STAKEHOLDER),
-                (self.stakes, EntityKind.STAKE),
-                (self.losses, EntityKind.LOSS),
-                (self.hazards, EntityKind.HAZARD),
-                (self.goals, EntityKind.GOAL),
-                (self.responsibilities, EntityKind.RESPONSIBILITY),
-                (self.structure.actions, EntityKind.ACTION),
-                (self.structure.feedbacks, EntityKind.FEEDBACK),
-                (self.ucas, EntityKind.UCA),
-                (self.scenarios, EntityKind.SCENARIO)):
-            for item in coll:
-                kinds[item.id] = kind
-        for ent in self.structure.entities:
-            kinds[ent.id] = ent.kind
+        kinds = {item.id: spec.kind or item.kind
+                 for spec in DECLS.values() if spec.declares_id
+                 for item in spec.items(self)}
         object.__setattr__(self, "_kinds", kinds)
 
     def kind_of(self, entity_id: str) -> EntityKind | None:
+        """Declaration kind of an ID, or None when the ID is unknown."""
         return self._kinds.get(entity_id)
 
     def span_of(self, entity_id: str) -> SourceSpan:
@@ -303,16 +402,11 @@ class AnalysisModel:
         return self._kinds.keys()
 
 
-def entity_kind(model: AnalysisModel, entity_id: str) -> EntityKind | None:
-    """Declaration kind of an ID, or None when the ID is unknown."""
-    return model.kind_of(entity_id)
-
-
 class ResolveError(DiagnosticError):
     """Resolution failed; ``diagnostics`` lists every PSY011/PSY013 found."""
 
 
-def resolve(model: raw.RawModel) -> AnalysisModel:
+def resolve(model: RawModel) -> AnalysisModel:
     """Resolve a parse result into an AnalysisModel.
 
     Checks ID uniqueness (PSY013) and that every reference names an
@@ -333,185 +427,72 @@ def resolve(model: raw.RawModel) -> AnalysisModel:
     # Pass 1: declaration kinds and duplicate IDs.
     kinds: dict[str, EntityKind] = {}
     spans: dict[str, SourceSpan] = {}
-    assessments_seen: dict[str, SourceSpan] = {}
-    for decl in model.decls:
-        if isinstance(decl, raw.RawAssessment):
-            if decl.hazard in assessments_seen:
+    for decl, span in model.decls:
+        spec = DECLS[type(decl)]
+        if not spec.declares_id:
+            key = f"assess {decl.hazard}"
+            if key in spans:
                 diags.append(diag(
                     "PSY013", f"duplicate assessment for hazard "
-                    f"'{decl.hazard}'", decl.span, (decl.hazard,)))
-            assessments_seen[decl.hazard] = decl.span
+                    f"'{decl.hazard}'", span, (decl.hazard,)))
+            spans[key] = span
             continue
         if decl.id in kinds:
             diags.append(diag(
                 "PSY013", f"duplicate declaration of '{decl.id}'",
-                decl.span, (decl.id,)))
+                span, (decl.id,)))
             continue
-        kinds[decl.id] = _decl_kind(decl)
-        spans[decl.id] = decl.span
+        kinds[decl.id] = spec.kind or decl.kind
+        spans[decl.id] = span
 
     # Pass 2: reference checks.
-    def check_ref(owner: str, ref: str, expected: tuple[EntityKind, ...],
-                  span: SourceSpan, what: str) -> None:
-        found = kinds.get(ref)
-        names = " or ".join(k.value for k in expected)
-        if found is None:
-            diags.append(diag(
-                "PSY011", f"unknown {names} '{ref}' referenced by "
-                f"{owner}", span, (owner, ref)))
-        elif found not in expected:
-            diags.append(diag(
-                "PSY011", f"{what} of {owner} must reference a {names}, "
-                f"but '{ref}' is a {found.value}", span, (owner, ref)))
-
-    K = EntityKind
-    for decl in model.decls:
-        span = decl.span
-        if isinstance(decl, raw.RawStake):
-            check_ref(decl.id, decl.holder, (K.STAKEHOLDER,), span, "holder")
-        elif isinstance(decl, raw.RawLoss):
-            for ref in decl.violates:
-                check_ref(decl.id, ref, (K.STAKE,), span, "violates")
-        elif isinstance(decl, raw.RawHazard):
-            for ref in decl.leads_to:
-                check_ref(decl.id, ref, (K.LOSS,), span, "leads_to")
-        elif isinstance(decl, raw.RawGoal):
-            for ref in decl.prevents:
-                check_ref(decl.id, ref, (K.HAZARD,), span, "prevents")
-        elif isinstance(decl, raw.RawEdge):
-            what = "feedback" if decl.is_feedback else "action"
-            check_ref(decl.id, decl.source, (K.CONTROLLER, K.PROCESS),
-                      span, f"{what} source")
-            check_ref(decl.id, decl.target, (K.CONTROLLER, K.PROCESS),
-                      span, f"{what} target")
-        elif isinstance(decl, raw.RawResponsibility):
-            # Existence only: non-structure assignees are a lint (PSY012),
-            # not a resolution failure.
-            if decl.assignee not in kinds:
-                diags.append(diag(
-                    "PSY011", f"unknown entity '{decl.assignee}' referenced "
-                    f"by {decl.id}", span, (decl.id, decl.assignee)))
-            for ref in decl.derived_from:
-                check_ref(decl.id, ref, (K.GOAL,), span, "derived_from")
-        elif isinstance(decl, raw.RawUca):
-            check_ref(decl.id, decl.on, (K.ACTION, K.FEEDBACK), span, "on")
-            for ref in decl.hazards:
-                check_ref(decl.id, ref, (K.HAZARD,), span, "hazards")
-        elif isinstance(decl, raw.RawScenario):
-            check_ref(decl.id, decl.for_ref, (K.UCA, K.ACTION), span, "for")
-        elif isinstance(decl, raw.RawAssessment):
-            check_ref(f"assessment of '{decl.hazard}'", decl.hazard,
-                      (K.HAZARD,), span, "hazard")
+    for decl, span in model.decls:
+        spec = DECLS[type(decl)]
+        owner = (decl.id if spec.declares_id
+                 else f"assessment of '{decl.hazard}'")
+        for ref in spec.refs:
+            for target in ref.targets(decl):
+                found = kinds.get(target)
+                if found is None:
+                    diags.append(diag(
+                        "PSY011", f"unknown {ref.expected} '{target}' "
+                        f"referenced by {owner}", span, (owner, target)))
+                elif ref.kinds is not None and found not in ref.kinds:
+                    diags.append(diag(
+                        "PSY011", f"{ref.label or ref.attr} of {owner} "
+                        f"must reference a {ref.expected}, but '{target}' "
+                        f"is a {found.value}", span, (owner, target)))
 
     if diags:
         raise ResolveError(diags)
 
-    # Pass 3: build the resolved, ID-sorted model.
-    stakeholders = []
-    stakes = []
-    losses = []
-    hazards = []
-    goals = []
-    responsibilities = []
-    entities = []
-    actions = []
-    feedbacks = []
-    ucas = []
-    scenarios = []
-    assessments: dict[str, RiskAssessment] = {}
-    for decl in model.decls:
-        if isinstance(decl, raw.RawStakeholder):
-            stakeholders.append(Stakeholder(decl.id, decl.name))
-        elif isinstance(decl, raw.RawStake):
-            stakes.append(Stake(decl.id, decl.description, decl.holder))
-        elif isinstance(decl, raw.RawLoss):
-            losses.append(Loss(decl.id, decl.description,
-                               frozenset(decl.violates)))
-        elif isinstance(decl, raw.RawHazard):
-            hazards.append(Hazard(decl.id, decl.description,
-                                  frozenset(decl.leads_to), decl.context))
-        elif isinstance(decl, raw.RawGoal):
-            goals.append(SafetyGoal(decl.id, decl.description,
-                                    frozenset(decl.prevents)))
-        elif isinstance(decl, raw.RawEntity):
-            entities.append(Entity(
-                decl.id, decl.name, decl.level,
-                K.PROCESS if decl.is_process else K.CONTROLLER,
-                decl.is_human, decl.sa_level, decl.psych_state,
-                decl.algorithm, decl.process_model))
-        elif isinstance(decl, raw.RawEdge):
-            if decl.is_feedback:
-                feedbacks.append(FeedbackLink(decl.id, decl.label,
-                                              decl.source, decl.target))
-            else:
-                actions.append(ControlAction(decl.id, decl.label,
-                                             decl.source, decl.target))
-        elif isinstance(decl, raw.RawResponsibility):
-            responsibilities.append(Responsibility(
-                decl.id, decl.description, decl.assignee,
-                frozenset(decl.derived_from)))
-        elif isinstance(decl, raw.RawUca):
-            ucas.append(Uca(decl.id, decl.on, UcaKind(decl.kind),
-                            decl.context, frozenset(decl.hazards)))
-        elif isinstance(decl, raw.RawScenario):
-            stype = (ScenarioType.UCA_OCCURRENCE
-                     if kinds[decl.for_ref] is K.UCA
-                     else ScenarioType.IMPROPER_EXECUTION)
-            scenarios.append(LossScenario(decl.id, decl.for_ref, stype,
-                                          CausalFactor(decl.factor),
-                                          decl.description))
-        elif isinstance(decl, raw.RawAssessment):
-            assessments[decl.hazard] = RiskAssessment(
-                decl.hazard,
-                SeverityClass[decl.severity],
-                ExposureClass[decl.exposure],
-                ControllabilityClass[decl.controllability],
-                decl.rationale)
-            spans[f"assess {decl.hazard}"] = decl.span
+    # Pass 3: group by type into the resolved, ID-sorted model.
+    groups: dict[type, list] = {cls: [] for cls in DECLS}
+    for decl, _ in model.decls:
+        groups[type(decl)].append(decl)
 
-    by_id = lambda item: item.id  # noqa: E731
+    def by_id(cls: type) -> tuple:
+        return tuple(sorted(groups[cls], key=lambda item: item.id))
 
+    scenarios = [replace(s, scenario_type=ScenarioType.UCA_OCCURRENCE
+                         if kinds[s.for_ref] is EntityKind.UCA
+                         else ScenarioType.IMPROPER_EXECUTION)
+                 for s in by_id(LossScenario)]
     return AnalysisModel(
         title=model.header.title,
         sae_level=model.header.sae_level,
         boundary=model.header.boundary,
-        stakeholders=tuple(sorted(stakeholders, key=by_id)),
-        stakes=tuple(sorted(stakes, key=by_id)),
-        losses=tuple(sorted(losses, key=by_id)),
-        hazards=tuple(sorted(hazards, key=by_id)),
-        goals=tuple(sorted(goals, key=by_id)),
-        responsibilities=tuple(sorted(responsibilities, key=by_id)),
-        structure=ControlStructure(
-            entities=tuple(sorted(entities, key=by_id)),
-            actions=tuple(sorted(actions, key=by_id)),
-            feedbacks=tuple(sorted(feedbacks, key=by_id))),
-        ucas=tuple(sorted(ucas, key=by_id)),
-        scenarios=tuple(sorted(scenarios, key=by_id)),
-        assessments=assessments,
+        stakeholders=by_id(Stakeholder),
+        stakes=by_id(Stake),
+        losses=by_id(Loss),
+        hazards=by_id(Hazard),
+        goals=by_id(SafetyGoal),
+        responsibilities=by_id(Responsibility),
+        structure=ControlStructure(entities=by_id(Entity),
+                                   actions=by_id(ControlAction),
+                                   feedbacks=by_id(FeedbackLink)),
+        ucas=by_id(Uca),
+        scenarios=tuple(scenarios),
+        assessments={a.hazard: a for a in groups[RiskAssessment]},
         spans=spans,
     )
-
-
-def _decl_kind(decl: raw.RawDecl) -> EntityKind:
-    K = EntityKind
-    if isinstance(decl, raw.RawStakeholder):
-        return K.STAKEHOLDER
-    if isinstance(decl, raw.RawStake):
-        return K.STAKE
-    if isinstance(decl, raw.RawLoss):
-        return K.LOSS
-    if isinstance(decl, raw.RawHazard):
-        return K.HAZARD
-    if isinstance(decl, raw.RawGoal):
-        return K.GOAL
-    if isinstance(decl, raw.RawEntity):
-        return K.PROCESS if decl.is_process else K.CONTROLLER
-    if isinstance(decl, raw.RawEdge):
-        return K.FEEDBACK if decl.is_feedback else K.ACTION
-    if isinstance(decl, raw.RawResponsibility):
-        return K.RESPONSIBILITY
-    if isinstance(decl, raw.RawUca):
-        return K.UCA
-    if isinstance(decl, raw.RawScenario):
-        return K.SCENARIO
-    raise TypeError(f"not a declaration: {decl!r}")

@@ -43,11 +43,16 @@ one header across the concatenation.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Union
 
 from .diagnostics import Diagnostic, SourceSpan, diag
 from .lexer import DECL_KEYWORDS, Token, TokenKind
+from .model import (CausalFactor, ControlAction, ControllabilityClass,
+                    Entity, EntityKind, ExposureClass, FeedbackLink, Hazard,
+                    Loss, LossScenario, Responsibility, RiskAssessment,
+                    SafetyGoal, SeverityClass, Stake, Stakeholder, Uca,
+                    UcaKind)
 
 
 @dataclass(frozen=True)
@@ -59,126 +64,16 @@ class RawHeader:
 
 
 @dataclass(frozen=True)
-class RawStakeholder:
-    id: str
-    name: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawStake:
-    id: str
-    description: str
-    holder: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawLoss:
-    id: str
-    description: str
-    violates: tuple[str, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawHazard:
-    id: str
-    description: str
-    leads_to: tuple[str, ...]
-    context: str | None
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawGoal:
-    id: str
-    description: str
-    prevents: tuple[str, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawEntity:
-    id: str
-    name: str
-    level: int
-    is_process: bool
-    is_human: bool
-    sa_level: int | None
-    psych_state: str | None
-    algorithm: str | None
-    process_model: tuple[str, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawEdge:
-    """A control action or feedback link (``is_feedback`` selects which)."""
-    id: str
-    label: str
-    source: str
-    target: str
-    is_feedback: bool
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawResponsibility:
-    id: str
-    description: str
-    assignee: str
-    derived_from: tuple[str, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawUca:
-    id: str
-    on: str
-    kind: str
-    context: str
-    hazards: tuple[str, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawScenario:
-    id: str
-    for_ref: str
-    factor: str
-    description: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawAssessment:
-    hazard: str
-    severity: str
-    exposure: str
-    controllability: str
-    rationale: str | None
-    span: SourceSpan
-
-
-RawDecl = Union[RawStakeholder, RawStake, RawLoss, RawHazard, RawGoal,
-                RawEntity, RawEdge, RawResponsibility, RawUca, RawScenario,
-                RawAssessment]
-
-
-@dataclass(frozen=True)
 class RawModel:
-    """Parse result; declarations in source order, nothing resolved."""
+    """Parse result: (declaration, span) pairs in source order, each a
+    domain type of :data:`psysafe.model.DECLS`, references unchecked."""
     header: RawHeader | None
-    decls: tuple[RawDecl, ...]
+    decls: tuple[tuple[object, SourceSpan], ...]
 
 
-SEVERITY_CODES = ("S1", "S2", "S3")
-EXPOSURE_CODES = ("E1", "E2", "E3", "E4")
-CONTROLLABILITY_CODES = ("C1", "C2", "C3")
-UCA_KINDS = ("not_provided", "provided", "wrong_timing", "wrong_duration")
-FACTORS = ("controller_failure", "inadequate_algorithm", "unsafe_input",
-           "inadequate_process_model")
+#: Keyword spellings of the enum-valued fields, in grammar order.
+_CHOICES = {cls: {member.value: member for member in cls}
+            for cls in (UcaKind, CausalFactor)}
 
 
 class _ParseFailure(Exception):
@@ -259,16 +154,27 @@ class _Parser:
             self.fail(f"expected {what}, found {tok.text!r}")
         return self.advance()
 
-    def expect_code(self, codes: tuple[str, ...], what: str) -> str:
+    def expect_code(self, cls: type[enum.Enum], what: str):
+        """An identifier naming a member of ``cls`` (``S2``, ``E4``...)."""
+        codes = cls.__members__
         tok = self.peek()
         if tok is None:
             self.fail(f"expected {what}, found end of file")
         if tok.kind is not TokenKind.IDENT or tok.text not in codes:
             self.fail(f"expected {what} ({', '.join(codes)}), "
                       f"found {tok.text!r}")
-        return self.advance().text
+        return codes[self.advance().text]
 
-    def idlist(self) -> tuple[str, ...]:
+    def expect_choice(self, cls: type[enum.Enum], what: str):
+        """A keyword spelling the value of a member of ``cls``."""
+        choices = _CHOICES[cls]
+        tok = self.peek()
+        if tok is None or tok.kind is not TokenKind.KEYWORD or \
+                tok.text not in choices:
+            self.fail(f"expected {what} (" + ", ".join(choices) + ")")
+        return choices[self.advance().text]
+
+    def idlist(self) -> frozenset[str]:
         ids = [self.expect_ident().text]
         while True:
             tok = self.peek()
@@ -276,7 +182,7 @@ class _Parser:
                 self.advance()
                 ids.append(self.expect_ident().text)
             else:
-                return tuple(ids)
+                return frozenset(ids)
 
     def decl_span(self, start: Token) -> SourceSpan:
         prev = self.tokens[self.pos - 1].span
@@ -303,29 +209,29 @@ class _Parser:
         self.expect_punct("}")
         return RawHeader(title, sae_tok.value, boundary, self.decl_span(kw))
 
-    def stakeholder(self, kw: Token) -> RawStakeholder:
+    def stakeholder(self, kw: Token) -> Stakeholder:
         ident = self.expect_ident().text
         name = self.expect_string("stakeholder name")
         if not name.value:
             self.diagnostics.append(diag(
                 "PSY000", "stakeholder name must not be empty", name.span))
-        return RawStakeholder(ident, name.value, self.decl_span(kw))
+        return Stakeholder(ident, name.value)
 
-    def stake(self, kw: Token) -> RawStake:
+    def stake(self, kw: Token) -> Stake:
         ident = self.expect_ident().text
         description = self.expect_string().value
         self.expect_keyword("of")
         holder = self.expect_ident("stakeholder ID").text
-        return RawStake(ident, description, holder, self.decl_span(kw))
+        return Stake(ident, description, holder)
 
-    def loss(self, kw: Token) -> RawLoss:
+    def loss(self, kw: Token) -> Loss:
         ident = self.expect_ident().text
         description = self.expect_string().value
         self.expect_keyword("violates")
         violates = self.idlist()
-        return RawLoss(ident, description, violates, self.decl_span(kw))
+        return Loss(ident, description, violates)
 
-    def hazard(self, kw: Token) -> RawHazard:
+    def hazard(self, kw: Token) -> Hazard:
         ident = self.expect_ident().text
         description = self.expect_string().value
         self.expect_keyword("leads_to")
@@ -335,18 +241,16 @@ class _Parser:
         if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == "context":
             self.advance()
             context = self.expect_string("context note").value
-        return RawHazard(ident, description, leads_to, context,
-                         self.decl_span(kw))
+        return Hazard(ident, description, leads_to, context)
 
-    def goal(self, kw: Token) -> RawGoal:
+    def goal(self, kw: Token) -> SafetyGoal:
         ident = self.expect_ident().text
         description = self.expect_string().value
         self.expect_keyword("prevents")
         prevents = self.idlist()
-        return RawGoal(ident, description, prevents, self.decl_span(kw))
+        return SafetyGoal(ident, description, prevents)
 
-    def entity(self, kw: Token) -> RawEntity:
-        is_process = kw.text == "process"
+    def entity(self, kw: Token) -> Entity:
         ident = self.expect_ident().text
         name = self.expect_string("entity name").value
         self.expect_keyword("level")
@@ -400,68 +304,58 @@ class _Parser:
             self.diagnostics.append(diag(
                 "PSY000", f"entity '{ident}' declares sa_level or "
                 "psych_state but is not marked human", span))
-        return RawEntity(ident, name, level_tok.value, is_process, is_human,
-                         sa_level, psych_state, algorithm,
-                         tuple(process_model), span)
+        return Entity(ident, name, level_tok.value, EntityKind(kw.text),
+                      is_human, sa_level, psych_state, algorithm,
+                      tuple(process_model))
 
-    def edge(self, kw: Token) -> RawEdge:
+    def edge(self, kw: Token) -> ControlAction | FeedbackLink:
         ident = self.expect_ident().text
         label = self.expect_string("edge label").value
         self.expect_keyword("from")
         source = self.expect_ident("entity ID").text
         self.expect_keyword("to")
         target = self.expect_ident("entity ID").text
-        return RawEdge(ident, label, source, target,
-                       kw.text == "feedback", self.decl_span(kw))
+        cls = FeedbackLink if kw.text == "feedback" else ControlAction
+        return cls(ident, label, source, target)
 
-    def resp(self, kw: Token) -> RawResponsibility:
+    def resp(self, kw: Token) -> Responsibility:
         ident = self.expect_ident().text
         description = self.expect_string().value
         self.expect_keyword("of")
         assignee = self.expect_ident("entity ID").text
         self.expect_keyword("from")
         derived_from = self.idlist()
-        return RawResponsibility(ident, description, assignee, derived_from,
-                                 self.decl_span(kw))
+        return Responsibility(ident, description, assignee, derived_from)
 
-    def uca(self, kw: Token) -> RawUca:
+    def uca(self, kw: Token) -> Uca:
         ident = self.expect_ident().text
         self.expect_keyword("on")
         on = self.expect_ident("control action or feedback ID").text
         self.expect_keyword("kind")
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or \
-                tok.text not in UCA_KINDS:
-            self.fail("expected UCA kind (" + ", ".join(UCA_KINDS) + ")")
-        kind = self.advance().text
+        kind = self.expect_choice(UcaKind, "UCA kind")
         self.expect_keyword("context")
         context = self.expect_string("context").value
         self.expect_keyword("hazards")
         hazards = self.idlist()
-        return RawUca(ident, on, kind, context, hazards, self.decl_span(kw))
+        return Uca(ident, on, kind, context, hazards)
 
-    def scenario(self, kw: Token) -> RawScenario:
+    def scenario(self, kw: Token) -> LossScenario:
         ident = self.expect_ident().text
         self.expect_keyword("for")
         for_ref = self.expect_ident("UCA or control action ID").text
         self.expect_keyword("factor")
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or \
-                tok.text not in FACTORS:
-            self.fail("expected causal factor (" + ", ".join(FACTORS) + ")")
-        factor = self.advance().text
+        factor = self.expect_choice(CausalFactor, "causal factor")
         description = self.expect_string().value
-        return RawScenario(ident, for_ref, factor, description,
-                           self.decl_span(kw))
+        return LossScenario(ident, for_ref, None, factor, description)
 
-    def assess(self, kw: Token) -> RawAssessment:
+    def assess(self, kw: Token) -> RiskAssessment:
         hazard = self.expect_ident("hazard ID").text
         self.expect_keyword("severity")
-        severity = self.expect_code(SEVERITY_CODES, "severity class")
+        severity = self.expect_code(SeverityClass, "severity class")
         self.expect_keyword("exposure")
-        exposure = self.expect_code(EXPOSURE_CODES, "exposure class")
+        exposure = self.expect_code(ExposureClass, "exposure class")
         self.expect_keyword("controllability")
-        controllability = self.expect_code(CONTROLLABILITY_CODES,
+        controllability = self.expect_code(ControllabilityClass,
                                            "controllability class")
         rationale = None
         tok = self.peek()
@@ -469,8 +363,8 @@ class _Parser:
                 tok.text == "rationale":
             self.advance()
             rationale = self.expect_string("rationale").value
-        return RawAssessment(hazard, severity, exposure, controllability,
-                             rationale, self.decl_span(kw))
+        return RiskAssessment(hazard, severity, exposure, controllability,
+                              rationale)
 
     _DECL_PARSERS = {
         "stakeholder": stakeholder,
@@ -501,7 +395,7 @@ class _Parser:
 
     def file_(self) -> RawModel:
         header: RawHeader | None = None
-        decls: list[RawDecl] = []
+        decls: list[tuple[object, SourceSpan]] = []
         first = True
         while not self.at_end():
             tok = self.peek()
@@ -524,7 +418,8 @@ class _Parser:
             if tok.kind is TokenKind.KEYWORD and tok.text in self._DECL_PARSERS:
                 kw = self.advance()
                 try:
-                    decls.append(self._DECL_PARSERS[tok.text](self, kw))
+                    decl = self._DECL_PARSERS[tok.text](self, kw)
+                    decls.append((decl, self.decl_span(kw)))
                 except _ParseFailure:
                     self.recover()
                 first = False
@@ -576,7 +471,7 @@ def merge_raw_models(models: list[tuple[str, RawModel]]) \
             diagnostics.append(diag(
                 "PSY000", "the analysis header must appear in the first "
                 "input file", header.span))
-    decls: list[RawDecl] = []
+    decls: list[tuple[object, SourceSpan]] = []
     for _, m in models:
         decls.extend(m.decls)
     return RawModel(header, tuple(decls)), diagnostics

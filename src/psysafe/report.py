@@ -15,11 +15,11 @@ import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .diagnostics import Diagnostic, sort_diagnostics
-from .lints import LintConfig, apply_config, run_lints
+from .diagnostics import Diagnostic
+from .lints import LintConfig, analyze
 from .model import AnalysisModel, UcaKind
 from .psysil import determine_psysil, goal_psysil
-from .structure import CoverageRow, uca_category_coverage, validate_structure
+from .structure import CoverageRow, uca_category_coverage
 
 SCHEMA_VERSION = "1"
 
@@ -52,11 +52,6 @@ def _relativize(path: str) -> str:
 def build_report(model: AnalysisModel,
                  config: LintConfig | None = None) -> Report:
     """Assemble report data; runs structure validation and all lints."""
-    config = config or LintConfig()
-    diags = validate_structure(model.structure, model.spans)
-    diags = apply_config(diags, config)
-    diags.extend(run_lints(model, config))
-
     inventory = {
         "stakeholders": len(model.stakeholders),
         "stakes": len(model.stakes),
@@ -110,7 +105,7 @@ def build_report(model: AnalysisModel,
         uca_hazard={u.id: sorted(u.hazards)
                     for u in sorted(model.ucas, key=lambda u: u.id)},
         coverage=uca_category_coverage(model),
-        diagnostics=sort_diagnostics(diags),
+        diagnostics=analyze(model, config),
         model=model,
     )
 

@@ -1,35 +1,20 @@
 """Typed traceability graph over all analysis artifacts.
 
-The graph contains exactly the declared links, nothing synthesized. Edges
-point from the more derived artifact to the one it was derived from or
-refers to (loss -> stake, hazard -> loss, goal -> hazard, responsibility
--> goal/entity, UCA -> action/hazard, scenario -> UCA/action), so "up"
-follows edges forward towards stakes and "down" follows them backwards
-towards scenarios.
+The graph contains one edge per reference that :data:`psysafe.model.DECLS`
+marks as traced, nothing synthesized: loss -> stake, hazard -> loss, goal
+-> hazard, responsibility -> goal/entity, UCA -> action/hazard, scenario
+-> UCA/action. Stake holders and action/feedback endpoints are not traced.
+Edges point from the more derived artifact to the one it was derived from
+or refers to, so "up" follows edges forward towards stakes and "down"
+follows them backwards towards scenarios.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .model import AnalysisModel, EntityKind, ScenarioType, entity_kind
-
-
-class EdgeType(enum.Enum):
-    VIOLATES = "violates"
-    LEADS_TO = "leads_to"
-    PREVENTS = "prevents"
-    DERIVED_FROM = "derived_from"
-    ASSIGNED_TO = "assigned_to"
-    ON_ACTION = "on_action"
-    HAZARDS = "hazards"
-    FOR_UCA = "for_uca"
-    FOR_ACTION = "for_action"
-
-    def __str__(self) -> str:
-        return self.value
+from .model import DECLS, AnalysisModel, EdgeType, EntityKind
 
 
 @dataclass(frozen=True)
@@ -56,34 +41,28 @@ class TraceGraph:
 
 
 def build_trace_graph(model: AnalysisModel) -> TraceGraph:
-    """One node per declared entity, one edge per declared link."""
+    """One node per declared entity, one edge per traced reference."""
     nodes = sorted((entity_id, model.kind_of(entity_id))
                    for entity_id in model.entity_ids)
-    edges: list[TraceEdge] = []
-    for loss in model.losses:
-        for stake_id in sorted(loss.violates):
-            edges.append(TraceEdge(loss.id, stake_id, EdgeType.VIOLATES))
-    for hazard in model.hazards:
-        for loss_id in sorted(hazard.leads_to):
-            edges.append(TraceEdge(hazard.id, loss_id, EdgeType.LEADS_TO))
-    for goal in model.goals:
-        for hazard_id in sorted(goal.prevents):
-            edges.append(TraceEdge(goal.id, hazard_id, EdgeType.PREVENTS))
-    for resp in model.responsibilities:
-        for goal_id in sorted(resp.derived_from):
-            edges.append(TraceEdge(resp.id, goal_id, EdgeType.DERIVED_FROM))
-        edges.append(TraceEdge(resp.id, resp.assignee, EdgeType.ASSIGNED_TO))
-    for uca in model.ucas:
-        edges.append(TraceEdge(uca.id, uca.on, EdgeType.ON_ACTION))
-        for hazard_id in sorted(uca.hazards):
-            edges.append(TraceEdge(uca.id, hazard_id, EdgeType.HAZARDS))
-    for scenario in model.scenarios:
-        edge_type = (EdgeType.FOR_UCA
-                     if scenario.scenario_type is ScenarioType.UCA_OCCURRENCE
-                     else EdgeType.FOR_ACTION)
-        edges.append(TraceEdge(scenario.id, scenario.for_ref, edge_type))
-    edges.sort(key=lambda e: (e.source, e.type.value, e.target))
+    edges = sorted(
+        (TraceEdge(decl.id, target, edge_type)
+         for spec in DECLS.values()
+         for ref in spec.refs if ref.edge is not None
+         for decl in spec.items(model) for target in ref.targets(decl)
+         if (edge_type := ref.edge_to(model.kind_of(target)))),
+        key=lambda e: (e.source, e.type.value, e.target))
     return TraceGraph(tuple(nodes), tuple(edges))
+
+
+def _graph_from(model: AnalysisModel, entity_id: str,
+                direction: str) -> TraceGraph:
+    """The whole graph, once the start ID and direction are checked."""
+    if direction not in ("up", "down", "both"):
+        raise ValueError(f"direction must be up, down, or both, "
+                         f"not {direction!r}")
+    if model.kind_of(entity_id) is None:
+        raise KeyError(entity_id)
+    return build_trace_graph(model)
 
 
 def trace_from(model: AnalysisModel, entity_id: str,
@@ -95,12 +74,7 @@ def trace_from(model: AnalysisModel, entity_id: str,
     (the union of the two traversals). The result always includes the
     starting node. Raises KeyError for an unknown ID.
     """
-    if direction not in ("up", "down", "both"):
-        raise ValueError(f"direction must be up, down, or both, "
-                         f"not {direction!r}")
-    if entity_kind(model, entity_id) is None:
-        raise KeyError(entity_id)
-    graph = build_trace_graph(model)
+    graph = _graph_from(model, entity_id, direction)
 
     reached = {entity_id}
     if direction in ("up", "both"):
@@ -139,12 +113,7 @@ def format_trace_tree(model: AnalysisModel, entity_id: str,
     steps as ``<- edge_type source``. A node already expanded earlier in
     the traversal is printed without re-expanding its children.
     """
-    if direction not in ("up", "down", "both"):
-        raise ValueError(f"direction must be up, down, or both, "
-                         f"not {direction!r}")
-    if entity_kind(model, entity_id) is None:
-        raise KeyError(entity_id)
-    graph = build_trace_graph(model)
+    graph = _graph_from(model, entity_id, direction)
     lines = [f"{entity_id} [{model.kind_of(entity_id)}]"]
 
     def expand(node: str, forward: bool, depth: int, seen: set[str]) -> None:

@@ -9,10 +9,9 @@ model instead of the source text.
 import dataclasses
 
 from psysafe.diagnostics import Diagnostic
-from psysafe.lints import LintConfig, run_lints
+from psysafe.lints import LintConfig, analyze
 from psysafe.loader import load_sources
 from psysafe.model import AnalysisModel, ResolveError
-from psysafe.structure import validate_structure
 
 CLEAN_PSY = """\
 analysis "Clean fixture" { sae_level = 3 }
@@ -45,10 +44,7 @@ def load_clean(text: str = CLEAN_PSY) -> tuple[AnalysisModel, dict]:
 
 def all_diagnostics(model: AnalysisModel,
                     allows: dict | None = None) -> list[Diagnostic]:
-    config = LintConfig(allows=allows or {})
-    diags = validate_structure(model.structure, model.spans)
-    diags.extend(run_lints(model, config))
-    return diags
+    return analyze(model, LintConfig(allows=allows or {}))
 
 
 def _replace_line(text: str, needle: str, replacement: str) -> str:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,24 @@ def test_check_unreadable_file_exits_2():
     assert "cannot read file" in proc.stderr
 
 
+def test_check_invalid_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.psy"
+    bad.write_bytes(b'analysis "t\xff" { sae_level = 2 }\n')
+    proc = psysafe("check", str(bad))
+    assert proc.returncode == 2
+    assert "error[PSY000]: cannot read file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_invalid_utf8_config_exits_2(tmp_path):
+    conf = tmp_path / "psysafe.conf"
+    conf.write_bytes(b"lint { PSY007 = off } # \xff\n")
+    proc = psysafe("check", "--config", str(conf), *CORPUS_ARGS)
+    assert proc.returncode == 2
+    assert "error[PSY000]: cannot read config file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_syntax_error_exits_2(tmp_path):
     bad = tmp_path / "bad.psy"
     bad.write_text('analysis "t" { sae_level = 2 }\nloss L1 violates ST1\n',
@@ -88,6 +107,31 @@ def test_check_resolution_error_exits_2(tmp_path):
     proc = psysafe("check", str(bad))
     assert proc.returncode == 2
     assert "error[PSY011]" in proc.stderr
+
+
+def test_resolution_errors_print_in_a_fixed_order(tmp_path):
+    # ID lists are sets, whose iteration order follows the hash seed; the
+    # printed findings must not.
+    bad = tmp_path / "bad.psy"
+    bad.write_text('analysis "t" { sae_level = 2 }\n'
+                   'stakeholder SH1 "s"\n'
+                   'loss L1 "l" violates ST9, SH1, ST10, ST8\n',
+                   encoding="utf-8")
+    expected = [
+        "bad.psy:3:1: error[PSY011]: unknown stake 'ST10' referenced by L1",
+        "bad.psy:3:1: error[PSY011]: unknown stake 'ST8' referenced by L1",
+        "bad.psy:3:1: error[PSY011]: unknown stake 'ST9' referenced by L1",
+        "bad.psy:3:1: error[PSY011]: violates of L1 must reference a "
+        "stake, but 'SH1' is a stakeholder",
+    ]
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "psysafe", "check", "bad.psy"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(REPO_ROOT / "src")})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == expected
 
 
 def test_check_error_findings_exit_1(tmp_path):
@@ -157,6 +201,32 @@ def test_report_out_writes_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(out.read_text(encoding="utf-8"))["sae_level"] == 4
+
+
+def test_report_out_into_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = psysafe("report", "--format", "json", "--out", str(out),
+                   *CORPUS_ARGS)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("psysafe report: cannot write ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_and_report_analyze_once(monkeypatch, capsys):
+    from psysafe import cli, lints
+    calls = []
+    for name in ("validate_structure", "run_lints"):
+        real = getattr(lints, name)
+        monkeypatch.setattr(lints, name, lambda *a, _real=real, _name=name,
+                            **k: calls.append(_name) or _real(*a, **k))
+    files = [str(REPO_ROOT / p) for p in CORPUS_ARGS]
+    for argv in (["check", *files], ["report", "--format", "json", *files]):
+        calls.clear()
+        assert cli.run(argv) == 0
+        assert sorted(calls) == ["run_lints", "validate_structure"], argv
+    capsys.readouterr()
 
 
 def test_report_md_matches_golden():

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from psysafe.lexer import Token, TokenKind, tokenize
@@ -46,6 +47,27 @@ def test_illegal_character():
     assert len(res.diagnostics) == 1
     assert "illegal character" in res.diagnostics[0].message
     assert [t.text for t in res.tokens] == ["loss", "L1"]
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digit_is_illegal(digit):
+    # '²' and the Arabic-Indic '٣' satisfy str.isdigit(); neither is an
+    # integer literal.
+    res = tokenize(f"sae_level = {digit}")
+    assert [d.message for d in res.diagnostics] == \
+        [f"illegal character {digit!r}"]
+    assert [t.text for t in res.tokens] == ["sae_level", "="]
+
+
+def test_integer_beyond_int_string_limit_is_a_diagnostic():
+    res = tokenize("level " + "9" * 5000)
+    assert [d.rule for d in res.diagnostics] == ["PSY000"]
+    assert "integer literal too long" in res.diagnostics[0].message
+    assert [t.text for t in res.tokens] == ["level"]
+
+
+def test_lint_is_not_reserved_in_models():
+    assert kinds("lint") == [(TokenKind.IDENT, "lint")]
 
 
 def test_escapes_decode():

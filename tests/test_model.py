@@ -2,7 +2,7 @@ import pytest
 
 from psysafe.lexer import tokenize
 from psysafe.loader import load_sources
-from psysafe.model import EntityKind, ResolveError, entity_kind, resolve
+from psysafe.model import EntityKind, ResolveError, resolve
 from psysafe.parser import parse
 
 
@@ -52,6 +52,15 @@ def test_every_dangling_reference_is_reported():
     assert rules == ["PSY011", "PSY011", "PSY011"]
 
 
+def test_repeated_unknown_reference_is_one_psy011():
+    # ID lists are sets, so naming the same unknown ID twice is one finding.
+    with pytest.raises(ResolveError) as exc:
+        resolve_text('analysis "t" { sae_level = 2 }\n'
+                     'loss L1 "l" violates ST9, ST9')
+    assert [d.message for d in exc.value.diagnostics] == \
+        ["unknown stake 'ST9' referenced by L1"]
+
+
 def test_wrong_kind_reference_is_psy011():
     with pytest.raises(ResolveError) as exc:
         resolve_text('analysis "t" { sae_level = 2 }\n'
@@ -97,15 +106,15 @@ def test_assignee_may_be_any_existing_entity():
 
 
 def test_entity_kind_lookup(corpus_model):
-    assert entity_kind(corpus_model, "H3") is EntityKind.HAZARD
-    assert entity_kind(corpus_model, "SG4") is EntityKind.GOAL
-    assert entity_kind(corpus_model, "ZZZ") is None
-    assert entity_kind(corpus_model, "DRV") is EntityKind.CONTROLLER
-    assert entity_kind(corpus_model, "VEH") is EntityKind.PROCESS
-    assert entity_kind(corpus_model, "CA_motion") is EntityKind.ACTION
-    assert entity_kind(corpus_model, "FB_state") is EntityKind.FEEDBACK
-    assert entity_kind(corpus_model, "UCA3.SC2") is EntityKind.SCENARIO
-    assert entity_kind(corpus_model, "R5") is EntityKind.RESPONSIBILITY
+    assert corpus_model.kind_of("H3") is EntityKind.HAZARD
+    assert corpus_model.kind_of("SG4") is EntityKind.GOAL
+    assert corpus_model.kind_of("ZZZ") is None
+    assert corpus_model.kind_of("DRV") is EntityKind.CONTROLLER
+    assert corpus_model.kind_of("VEH") is EntityKind.PROCESS
+    assert corpus_model.kind_of("CA_motion") is EntityKind.ACTION
+    assert corpus_model.kind_of("FB_state") is EntityKind.FEEDBACK
+    assert corpus_model.kind_of("UCA3.SC2") is EntityKind.SCENARIO
+    assert corpus_model.kind_of("R5") is EntityKind.RESPONSIBILITY
 
 
 def test_ids_unique_and_references_closed(corpus_model):

@@ -1,6 +1,6 @@
 from psysafe.lexer import tokenize
-from psysafe.parser import (RawHazard, RawLoss, RawUca, merge_raw_models,
-                            parse)
+from psysafe.model import EntityKind, Hazard, Loss, Uca, UcaKind
+from psysafe.parser import merge_raw_models, parse
 
 
 def parse_text(text, file="t.psy"):
@@ -13,7 +13,9 @@ def test_loss_declaration():
     model, diags = parse_text('loss L1 "Loss of trust" violates ST1')
     assert not diags
     assert model.decls == (
-        RawLoss("L1", "Loss of trust", ("ST1",), model.decls[0].span),)
+        (Loss("L1", "Loss of trust", frozenset({"ST1"})),
+         model.decls[0][1]),)
+    assert model.decls[0][1].start_col == 1
 
 
 def test_header_with_boundary():
@@ -35,9 +37,9 @@ def test_hazard_with_context():
     model, diags = parse_text(
         'hazard H1 "h" leads_to L1, L2 context "raining"')
     assert not diags
-    hazard = model.decls[0]
-    assert isinstance(hazard, RawHazard)
-    assert hazard.leads_to == ("L1", "L2")
+    hazard, _ = model.decls[0]
+    assert isinstance(hazard, Hazard)
+    assert hazard.leads_to == frozenset({"L1", "L2"})
     assert hazard.context == "raining"
 
 
@@ -51,10 +53,10 @@ def test_uca_parses_kind_and_hazards():
     model, diags = parse_text(
         'uca UCA1 on CA_motion kind provided context "c" hazards H1, H2')
     assert not diags
-    uca = model.decls[0]
-    assert isinstance(uca, RawUca)
-    assert uca.kind == "provided"
-    assert uca.hazards == ("H1", "H2")
+    uca, _ = model.decls[0]
+    assert isinstance(uca, Uca)
+    assert uca.kind is UcaKind.PROVIDED
+    assert uca.hazards == frozenset({"H1", "H2"})
 
 
 def test_entity_block_properties():
@@ -63,10 +65,10 @@ def test_entity_block_properties():
         '{ human sa_level 2 psych_state "calm" }\n'
         'process VEH "Vehicle" level 3')
     assert not diags
-    drv, veh = model.decls
+    (drv, _), (veh, _) = model.decls
     assert drv.is_human and drv.sa_level == 2 and drv.psych_state == "calm"
-    assert not drv.is_process
-    assert veh.is_process and not veh.is_human
+    assert drv.kind is EntityKind.CONTROLLER
+    assert veh.kind is EntityKind.PROCESS and not veh.is_human
 
 
 def test_sa_level_on_non_human_is_an_error():
@@ -87,8 +89,8 @@ def test_error_recovery_reports_one_diagnostic_per_broken_decl():
     # Each diagnostic sits on the offending token: the missing description
     # on line 2, the missing idlist on the 'stake' keyword that follows.
     assert {d.span.start_line for d in diags} == {2, 5}
-    kinds = [type(d).__name__ for d in model.decls]
-    assert kinds == ["RawLoss", "RawHazard", "RawStake"]
+    kinds = [type(d).__name__ for d, _ in model.decls]
+    assert kinds == ["Loss", "Hazard", "Stake"]
 
 
 def test_corpus_declaration_counts(corpus_files):
@@ -100,21 +102,22 @@ def test_corpus_declaration_counts(corpus_files):
         model, diags = parse(lex.tokens, str(path))
         assert not diags
         headers += model.header is not None
-        for decl in model.decls:
+        for decl, _ in model.decls:
             counts[type(decl).__name__] = \
                 counts.get(type(decl).__name__, 0) + 1
     assert headers == 1
-    assert counts["RawStakeholder"] == 1
-    assert counts["RawStake"] == 4
-    assert counts["RawLoss"] == 3
-    assert counts["RawHazard"] == 5
-    assert counts["RawGoal"] == 5
-    assert counts["RawResponsibility"] == 7
-    assert counts["RawUca"] == 3
-    assert counts["RawScenario"] == 4
-    assert counts["RawAssessment"] == 1
-    assert counts["RawEntity"] == 3
-    assert counts["RawEdge"] == 4
+    assert counts["Stakeholder"] == 1
+    assert counts["Stake"] == 4
+    assert counts["Loss"] == 3
+    assert counts["Hazard"] == 5
+    assert counts["SafetyGoal"] == 5
+    assert counts["Responsibility"] == 7
+    assert counts["Uca"] == 3
+    assert counts["LossScenario"] == 4
+    assert counts["RiskAssessment"] == 1
+    assert counts["Entity"] == 3
+    assert counts["ControlAction"] == 2
+    assert counts["FeedbackLink"] == 2
 
 
 def test_merge_requires_exactly_one_header():
