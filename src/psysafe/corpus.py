@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .loader import Allows, load_model
+from .loader import load_model
 from .model import AnalysisModel
 
 #: Repository-root corpus location (valid for source checkouts and
@@ -30,15 +30,9 @@ def corpus_files(corpus_dir: str | Path | None = None) -> list[Path]:
 def load_paper_example(corpus_dir: str | Path | None = None
                        ) -> AnalysisModel:
     """Load and resolve the bundled example model."""
-    model, _ = load_paper_example_with_allows(corpus_dir)
-    return model
-
-
-def load_paper_example_with_allows(corpus_dir: str | Path | None = None
-                                   ) -> tuple[AnalysisModel, Allows]:
-    """Like :func:`load_paper_example` but keeps the lint suppressions."""
     files = corpus_files(corpus_dir)
     if not files:
         raise FileNotFoundError(
             f"no .psy files in {corpus_dir or DEFAULT_CORPUS_DIR}")
-    return load_model(files)
+    model, _ = load_model(files)
+    return model

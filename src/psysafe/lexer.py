@@ -41,12 +41,6 @@ KEYWORDS = frozenset({
     "violates", "leads_to", "prevents",
 })
 
-#: Keywords that may begin a declaration; the parser recovers to these.
-DECL_KEYWORDS = frozenset({
-    "stakeholder", "stake", "loss", "hazard", "goal", "controller",
-    "process", "action", "feedback", "resp", "uca", "scenario", "assess",
-})
-
 PUNCT_CHARS = frozenset("{}=,")
 
 _IDENT_START = re.compile(r"[A-Za-z]")

@@ -146,9 +146,7 @@ def analyze(model: AnalysisModel,
 
 
 def parse_config(source: str, file: str = "psysafe.conf",
-                 strict: bool = False,
-                 allows: Mapping[tuple[str, int], frozenset[str]]
-                 | None = None) -> tuple[LintConfig, list[Diagnostic]]:
+                 strict: bool = False) -> tuple[LintConfig, list[Diagnostic]]:
     """Parse a ``lint { PSYnnn = severity ... }`` configuration file.
 
     Unknown rules or invalid severities are reported as PSY000 errors;
@@ -201,5 +199,4 @@ def parse_config(source: str, file: str = "psysafe.conf",
             break
     if any(d.severity is Severity.ERROR for d in diags):
         overrides = {}
-    return (LintConfig(overrides=overrides, strict=strict,
-                       allows=dict(allows or {})), diags)
+    return LintConfig(overrides=overrides, strict=strict), diags

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -269,12 +270,47 @@ class RiskAssessment:
     rationale: str | None = None
 
 
-@dataclass(frozen=True)
-class Ref:
-    """One reference field of a declaration type."""
+class Form(enum.Enum):
+    """How a field's value is written; for the one-token forms the value
+    is the name "expected ..." messages use by default. A field whose form
+    is an enum class holds one member, written as :func:`spelling` says."""
 
-    #: Attribute holding the referenced ID, or a frozenset of IDs.
-    attr: str
+    ID = "identifier"
+    IDS = "identifier list"  # ``ID { "," ID }``, a frozenset once parsed
+    STRING = "string"
+    INT = "integer"
+    BLOCK = "entity block"  # ``{ ... }`` entity properties
+
+
+def spelling(member: enum.Enum) -> str:
+    """How ``.psy`` writes an enum member: string-valued members by their
+    value, a keyword (``provided``); classes by name (``S2``)."""
+    return member.value if isinstance(member.value, str) else member.name
+
+
+@dataclass(frozen=True)
+class Field:
+    """One value of a declaration, in source order after its keyword."""
+
+    #: Attribute the value sets; None for the entity block, which sets
+    #: several.
+    attr: str | None
+    form: Form | type[enum.Enum]
+    #: Keyword written before the value, if any.
+    keyword: str | None = None
+    #: Names the value in "expected ..." messages, when not the form.
+    what: str | None = None
+    #: An optional field is present when its keyword (for the entity
+    #: block, its ``{``) comes next.
+    optional: bool = False
+    #: PSY000 message for an empty string or a zero.
+    empty: str | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class Ref(Field):
+    """A field naming other declarations by ID (an ID or ID-list form)."""
+
     #: Kinds the field may name, in message order; None accepts any
     #: declared entity.
     kinds: tuple[EntityKind, ...] | None
@@ -286,7 +322,7 @@ class Ref:
 
     def targets(self, decl) -> Iterable[str]:
         value = getattr(decl, self.attr)
-        return (value,) if isinstance(value, str) else value
+        return value if self.form is Form.IDS else (value,)
 
     @property
     def expected(self) -> str:
@@ -305,56 +341,124 @@ class Ref:
 class DeclSpec:
     """What the model knows about one declaration type."""
 
+    #: Keywords that begin the declaration. Where there are several, the
+    #: keyword also gives the declaration's ``kind``.
+    keywords: tuple[str, ...]
     #: Where the resolved declarations live on an :class:`AnalysisModel`.
     path: str
     #: Kind of the declared ID; None for entities, whose ``kind`` field
-    #: says it.
+    #: says it, and for assessments, which declare none.
     kind: EntityKind | None
-    refs: tuple[Ref, ...] = ()
+    #: The values after the keyword, in source order; the first is the
+    #: declaration's key.
+    fields: tuple[Field, ...]
     #: False for assessments, which are keyed by the hazard they rate.
     declares_id: bool = True
 
+    @cached_property
+    def refs(self) -> tuple[Ref, ...]:
+        return tuple(f for f in self.fields if isinstance(f, Ref))
+
     def items(self, model: AnalysisModel) -> Iterable:
-        return attrgetter(self.path)(model)
+        items = attrgetter(self.path)(model)
+        return items.values() if isinstance(items, Mapping) else items
+
+    def implied(self, keyword: str) -> dict[str, EntityKind]:
+        """Attributes the keyword itself sets."""
+        if len(self.keywords) > 1:
+            return {"kind": EntityKind(keyword)}
+        return {}
+
+    def keyword_of(self, item) -> str:
+        """The keyword that declares ``item``."""
+        if len(self.keywords) > 1:
+            return item.kind.value
+        return self.keywords[0]
 
 
-_K, _E = EntityKind, EdgeType
+_K, _E, _F = EntityKind, EdgeType, Form
 _NODES = (_K.CONTROLLER, _K.PROCESS)
+_ID = Field("id", _F.ID)
+_DESCRIPTION = Field("description", _F.STRING)
 
-#: The single table of declaration types: resolution checks every
-#: reference field against it, and the trace graph has one edge per
-#: traced reference. Stake holders and action/feedback endpoints are not
-#: traced.
+
+def _link(name: str) -> tuple[Field, ...]:
+    """The fields of a control action or a feedback link."""
+    return (_ID, Field("label", _F.STRING, what="edge label"),
+            Ref("source", _F.ID, "from", "entity ID", kinds=_NODES,
+                label=f"{name} source"),
+            Ref("target", _F.ID, "to", "entity ID", kinds=_NODES,
+                label=f"{name} target"))
+
+
+#: The single table of declaration types, in canonical print order. The
+#: parser reads each declaration by its fields and the printer writes it
+#: back from them; resolution checks every reference field against it,
+#: and the trace graph has one edge per traced reference. Stake holders
+#: and action/feedback endpoints are not traced.
 DECLS: dict[type, DeclSpec] = {
-    Stakeholder: DeclSpec("stakeholders", _K.STAKEHOLDER),
-    Stake: DeclSpec("stakes", _K.STAKE, (
-        Ref("holder", (_K.STAKEHOLDER,)),)),
-    Loss: DeclSpec("losses", _K.LOSS, (
-        Ref("violates", (_K.STAKE,), _E.VIOLATES),)),
-    Hazard: DeclSpec("hazards", _K.HAZARD, (
-        Ref("leads_to", (_K.LOSS,), _E.LEADS_TO),)),
-    SafetyGoal: DeclSpec("goals", _K.GOAL, (
-        Ref("prevents", (_K.HAZARD,), _E.PREVENTS),)),
-    Entity: DeclSpec("structure.entities", None),
-    ControlAction: DeclSpec("structure.actions", _K.ACTION, (
-        Ref("source", _NODES, label="action source"),
-        Ref("target", _NODES, label="action target"))),
-    FeedbackLink: DeclSpec("structure.feedbacks", _K.FEEDBACK, (
-        Ref("source", _NODES, label="feedback source"),
-        Ref("target", _NODES, label="feedback target"))),
+    Stakeholder: DeclSpec(("stakeholder",), "stakeholders", _K.STAKEHOLDER, (
+        _ID, Field("name", _F.STRING, what="stakeholder name",
+                   empty="stakeholder name must not be empty"))),
+    Stake: DeclSpec(("stake",), "stakes", _K.STAKE, (
+        _ID, _DESCRIPTION,
+        Ref("holder", _F.ID, "of", "stakeholder ID",
+            kinds=(_K.STAKEHOLDER,)))),
+    Loss: DeclSpec(("loss",), "losses", _K.LOSS, (
+        _ID, _DESCRIPTION,
+        Ref("violates", _F.IDS, "violates", kinds=(_K.STAKE,),
+            edge=_E.VIOLATES))),
+    Hazard: DeclSpec(("hazard",), "hazards", _K.HAZARD, (
+        _ID, _DESCRIPTION,
+        Ref("leads_to", _F.IDS, "leads_to", kinds=(_K.LOSS,),
+            edge=_E.LEADS_TO),
+        Field("context", _F.STRING, "context", "context note",
+              optional=True))),
+    SafetyGoal: DeclSpec(("goal",), "goals", _K.GOAL, (
+        _ID, _DESCRIPTION,
+        Ref("prevents", _F.IDS, "prevents", kinds=(_K.HAZARD,),
+            edge=_E.PREVENTS))),
+    Entity: DeclSpec(("controller", "process"), "structure.entities", None, (
+        _ID, Field("name", _F.STRING, what="entity name"),
+        Field("level", _F.INT, "level", "hierarchy level",
+              empty="hierarchy level must be 1 or greater"),
+        Field(None, _F.BLOCK, optional=True))),
+    ControlAction: DeclSpec(("action",), "structure.actions", _K.ACTION,
+                            _link("action")),
+    FeedbackLink: DeclSpec(("feedback",), "structure.feedbacks",
+                           _K.FEEDBACK, _link("feedback")),
     # Any existing assignee resolves: non-structure assignees are a lint
     # (PSY012), not a resolution failure.
-    Responsibility: DeclSpec("responsibilities", _K.RESPONSIBILITY, (
-        Ref("assignee", None, _E.ASSIGNED_TO),
-        Ref("derived_from", (_K.GOAL,), _E.DERIVED_FROM))),
-    Uca: DeclSpec("ucas", _K.UCA, (
-        Ref("on", (_K.ACTION, _K.FEEDBACK), _E.ON_ACTION),
-        Ref("hazards", (_K.HAZARD,), _E.HAZARDS))),
-    LossScenario: DeclSpec("scenarios", _K.SCENARIO, (
-        Ref("for_ref", (_K.UCA, _K.ACTION),
-            {_K.UCA: _E.FOR_UCA, _K.ACTION: _E.FOR_ACTION}, label="for"),)),
-    RiskAssessment: DeclSpec("assessments", None, (
-        Ref("hazard", (_K.HAZARD,)),), declares_id=False),
+    Responsibility: DeclSpec(
+        ("resp",), "responsibilities", _K.RESPONSIBILITY, (
+            _ID, _DESCRIPTION,
+            Ref("assignee", _F.ID, "of", "entity ID", kinds=None,
+                edge=_E.ASSIGNED_TO),
+            Ref("derived_from", _F.IDS, "from", kinds=(_K.GOAL,),
+                edge=_E.DERIVED_FROM))),
+    Uca: DeclSpec(("uca",), "ucas", _K.UCA, (
+        _ID,
+        Ref("on", _F.ID, "on", "control action or feedback ID",
+            kinds=(_K.ACTION, _K.FEEDBACK), edge=_E.ON_ACTION),
+        Field("kind", UcaKind, "kind", "UCA kind"),
+        Field("context", _F.STRING, "context", "context"),
+        Ref("hazards", _F.IDS, "hazards", kinds=(_K.HAZARD,),
+            edge=_E.HAZARDS))),
+    LossScenario: DeclSpec(("scenario",), "scenarios", _K.SCENARIO, (
+        _ID,
+        Ref("for_ref", _F.ID, "for", "UCA or control action ID",
+            kinds=(_K.UCA, _K.ACTION), label="for",
+            edge={_K.UCA: _E.FOR_UCA, _K.ACTION: _E.FOR_ACTION}),
+        Field("factor", CausalFactor, "factor", "causal factor"),
+        _DESCRIPTION)),
+    RiskAssessment: DeclSpec(("assess",), "assessments", None, (
+        Ref("hazard", _F.ID, what="hazard ID", kinds=(_K.HAZARD,)),
+        Field("severity", SeverityClass, "severity", "severity class"),
+        Field("exposure", ExposureClass, "exposure", "exposure class"),
+        Field("controllability", ControllabilityClass, "controllability",
+              "controllability class"),
+        Field("rationale", _F.STRING, "rationale", "rationale",
+              optional=True)), declares_id=False),
 }
 
 

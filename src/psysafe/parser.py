@@ -5,36 +5,10 @@ distinct keyword, so recovery after a syntax error skips to the next
 declaration keyword and at most one diagnostic is emitted per broken
 declaration.
 
-Grammar (terminals quoted, ``ID`` = identifier, ``STRING``, ``INT``)::
-
-    file        := [ analysis ] { decl }
-    analysis    := "analysis" STRING "{" "sae_level" "=" INT
-                   [ "boundary" STRING ] "}"
-    decl        := stakeholder | stake | loss | hazard | goal | entity
-                 | action | feedback | resp | uca | scenario | assess
-    stakeholder := "stakeholder" ID STRING
-    stake       := "stake" ID STRING "of" ID
-    loss        := "loss" ID STRING "violates" idlist
-    hazard      := "hazard" ID STRING "leads_to" idlist [ "context" STRING ]
-    goal        := "goal" ID STRING "prevents" idlist
-    entity      := ("controller"|"process") ID STRING "level" INT
-                   [ "{" { entprop } "}" ]
-    entprop     := "human" | "sa_level" INT | "psych_state" STRING
-                 | "algorithm" STRING | "process_model" STRING
-    action      := "action" ID STRING "from" ID "to" ID
-    feedback    := "feedback" ID STRING "from" ID "to" ID
-    resp        := "resp" ID STRING "of" ID "from" idlist
-    uca         := "uca" ID "on" ID "kind" ucakind "context" STRING
-                   "hazards" idlist
-    ucakind     := "not_provided" | "provided" | "wrong_timing"
-                 | "wrong_duration"
-    scenario    := "scenario" ID "for" ID "factor" factor STRING
-    factor      := "controller_failure" | "inadequate_algorithm"
-                 | "unsafe_input" | "inadequate_process_model"
-    assess      := "assess" ID "severity" ("S1"|"S2"|"S3")
-                   "exposure" ("E1".."E4") "controllability" ("C1".."C3")
-                   [ "rationale" STRING ]
-    idlist      := ID { "," ID }
+The grammar is written out in ``docs/language.md``. Each declaration's
+syntax is not restated here: the parser walks the fields of its entry in
+:data:`psysafe.model.DECLS`. Only the ``analysis`` header and the entity
+property block are read by hand.
 
 A single model may span several files: each file allows at most one
 ``analysis`` header (as its first construct), and merging enforces exactly
@@ -43,16 +17,11 @@ one header across the concatenation.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .diagnostics import Diagnostic, SourceSpan, diag
-from .lexer import DECL_KEYWORDS, Token, TokenKind
-from .model import (CausalFactor, ControlAction, ControllabilityClass,
-                    Entity, EntityKind, ExposureClass, FeedbackLink, Hazard,
-                    Loss, LossScenario, Responsibility, RiskAssessment,
-                    SafetyGoal, SeverityClass, Stake, Stakeholder, Uca,
-                    UcaKind)
+from .lexer import Token, TokenKind
+from .model import DECLS, DeclSpec, Form, spelling
 
 
 @dataclass(frozen=True)
@@ -69,11 +38,6 @@ class RawModel:
     domain type of :data:`psysafe.model.DECLS`, references unchecked."""
     header: RawHeader | None
     decls: tuple[tuple[object, SourceSpan], ...]
-
-
-#: Keyword spellings of the enum-valued fields, in grammar order.
-_CHOICES = {cls: {member.value: member for member in cls}
-            for cls in (UcaKind, CausalFactor)}
 
 
 class _ParseFailure(Exception):
@@ -100,6 +64,12 @@ class _Parser:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def at(self, text: str) -> bool:
+        """Whether the keyword or punctuation mark ``text`` comes next (no
+        other kind of token spells one)."""
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
     def _end_span(self) -> SourceSpan:
         if self.tokens:
             last = self.tokens[-1].span
@@ -114,75 +84,45 @@ class _Parser:
         self.diagnostics.append(diag("PSY000", message, span))
         raise _ParseFailure()
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail(f"expected '{word}', found end of file")
-        if tok.kind is not TokenKind.KEYWORD or tok.text != word:
-            self.fail(f"expected '{word}', found {tok.text!r}")
-        return self.advance()
-
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail(f"expected '{ch}', found end of file")
-        if tok.kind is not TokenKind.PUNCT or tok.text != ch:
-            self.fail(f"expected '{ch}', found {tok.text!r}")
-        return self.advance()
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok is None:
+    def expect(self, kind: TokenKind, what: str,
+               text: str | None = None) -> Token:
+        """The next token, which must be of ``kind`` and, when ``text`` is
+        given, spell it; ``what`` names it in the error message."""
+        pos = self.pos
+        if pos >= len(self.tokens):
             self.fail(f"expected {what}, found end of file")
-        if tok.kind is not TokenKind.IDENT:
+        tok = self.tokens[pos]
+        if tok.kind is not kind or (text is not None and tok.text != text):
             self.fail(f"expected {what}, found {tok.text!r}")
-        return self.advance()
+        self.pos = pos + 1
+        return tok
 
-    def expect_string(self, what: str = "string") -> Token:
+    def value(self, kind: TokenKind, what: str, empty: str | None = None):
+        """An identifier, string or integer; ``empty`` is the error for an
+        empty string or a zero."""
+        tok = self.expect(kind, what)
+        if empty is not None and not tok.value:
+            self.diagnostics.append(diag("PSY000", empty, tok.span))
+        return tok.value
+
+    def member(self, spelled: dict, what: str):
+        """A member of an enum, by its spelling (a keyword or a code)."""
         tok = self.peek()
+        if tok is not None and tok.text in spelled:
+            return spelled[self.advance().text]
+        listed = f"{what} ({', '.join(spelled)})"
+        if isinstance(next(iter(spelled.values())).value, str):
+            self.fail(f"expected {listed}")  # keywords: no "found" part
         if tok is None:
             self.fail(f"expected {what}, found end of file")
-        if tok.kind is not TokenKind.STRING:
-            self.fail(f"expected {what}, found {tok.text!r}")
-        return self.advance()
-
-    def expect_int(self, what: str = "integer") -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail(f"expected {what}, found end of file")
-        if tok.kind is not TokenKind.INT:
-            self.fail(f"expected {what}, found {tok.text!r}")
-        return self.advance()
-
-    def expect_code(self, cls: type[enum.Enum], what: str):
-        """An identifier naming a member of ``cls`` (``S2``, ``E4``...)."""
-        codes = cls.__members__
-        tok = self.peek()
-        if tok is None:
-            self.fail(f"expected {what}, found end of file")
-        if tok.kind is not TokenKind.IDENT or tok.text not in codes:
-            self.fail(f"expected {what} ({', '.join(codes)}), "
-                      f"found {tok.text!r}")
-        return codes[self.advance().text]
-
-    def expect_choice(self, cls: type[enum.Enum], what: str):
-        """A keyword spelling the value of a member of ``cls``."""
-        choices = _CHOICES[cls]
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or \
-                tok.text not in choices:
-            self.fail(f"expected {what} (" + ", ".join(choices) + ")")
-        return choices[self.advance().text]
+        self.fail(f"expected {listed}, found {tok.text!r}")
 
     def idlist(self) -> frozenset[str]:
-        ids = [self.expect_ident().text]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind is TokenKind.PUNCT and tok.text == ",":
-                self.advance()
-                ids.append(self.expect_ident().text)
-            else:
-                return frozenset(ids)
+        ids = [self.expect(TokenKind.IDENT, "identifier").text]
+        while self.at(","):
+            self.advance()
+            ids.append(self.expect(TokenKind.IDENT, "identifier").text)
+        return frozenset(ids)
 
     def decl_span(self, start: Token) -> SourceSpan:
         prev = self.tokens[self.pos - 1].span
@@ -192,195 +132,81 @@ class _Parser:
     # -- declarations -----------------------------------------------------
 
     def header(self, kw: Token) -> RawHeader:
-        title = self.expect_string("analysis title").value
-        self.expect_punct("{")
-        self.expect_keyword("sae_level")
-        self.expect_punct("=")
-        sae_tok = self.expect_int("SAE level")
+        title = self.expect(TokenKind.STRING, "analysis title").value
+        self.expect(TokenKind.PUNCT, "'{'", "{")
+        self.expect(TokenKind.KEYWORD, "'sae_level'", "sae_level")
+        self.expect(TokenKind.PUNCT, "'='", "=")
+        sae_tok = self.expect(TokenKind.INT, "SAE level")
         if sae_tok.value not in (2, 3, 4, 5):
             self.diagnostics.append(diag(
                 "PSY000", f"sae_level must be between 2 and 5, got "
                 f"{sae_tok.value}", sae_tok.span))
         boundary = None
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == "boundary":
+        if self.at("boundary"):
             self.advance()
-            boundary = self.expect_string("boundary note").value
-        self.expect_punct("}")
+            boundary = self.expect(TokenKind.STRING, "boundary note").value
+        self.expect(TokenKind.PUNCT, "'}'", "}")
         return RawHeader(title, sae_tok.value, boundary, self.decl_span(kw))
 
-    def stakeholder(self, kw: Token) -> Stakeholder:
-        ident = self.expect_ident().text
-        name = self.expect_string("stakeholder name")
-        if not name.value:
-            self.diagnostics.append(diag(
-                "PSY000", "stakeholder name must not be empty", name.span))
-        return Stakeholder(ident, name.value)
+    def declaration(self, kw: Token):
+        """Any declaration, read by walking the fields of its spec."""
+        cls, initial, steps = _PLANS[kw.text]
+        values = dict(initial)
+        for keyword, attr, read, args, optional in steps:
+            if keyword is not None:
+                if optional and not self.at(keyword):
+                    continue
+                self.expect(TokenKind.KEYWORD, f"'{keyword}'", keyword)
+            if attr is None:
+                read(self, kw, values)
+            else:
+                values[attr] = read(self, *args)
+        return cls(**values)
 
-    def stake(self, kw: Token) -> Stake:
-        ident = self.expect_ident().text
-        description = self.expect_string().value
-        self.expect_keyword("of")
-        holder = self.expect_ident("stakeholder ID").text
-        return Stake(ident, description, holder)
-
-    def loss(self, kw: Token) -> Loss:
-        ident = self.expect_ident().text
-        description = self.expect_string().value
-        self.expect_keyword("violates")
-        violates = self.idlist()
-        return Loss(ident, description, violates)
-
-    def hazard(self, kw: Token) -> Hazard:
-        ident = self.expect_ident().text
-        description = self.expect_string().value
-        self.expect_keyword("leads_to")
-        leads_to = self.idlist()
-        context = None
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == "context":
-            self.advance()
-            context = self.expect_string("context note").value
-        return Hazard(ident, description, leads_to, context)
-
-    def goal(self, kw: Token) -> SafetyGoal:
-        ident = self.expect_ident().text
-        description = self.expect_string().value
-        self.expect_keyword("prevents")
-        prevents = self.idlist()
-        return SafetyGoal(ident, description, prevents)
-
-    def entity(self, kw: Token) -> Entity:
-        ident = self.expect_ident().text
-        name = self.expect_string("entity name").value
-        self.expect_keyword("level")
-        level_tok = self.expect_int("hierarchy level")
-        if level_tok.value < 1:
-            self.diagnostics.append(diag(
-                "PSY000", "hierarchy level must be 1 or greater",
-                level_tok.span))
-        is_human = False
-        sa_level: int | None = None
-        psych_state: str | None = None
-        algorithm: str | None = None
+    def entity_block(self, kw: Token, values: dict) -> None:
+        """The optional ``{ ... }`` property block of an entity."""
+        if not self.at("{"):
+            return
+        self.advance()
         process_model: list[str] = []
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.PUNCT and tok.text == "{":
-            self.advance()
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    self.fail("expected '}' to close entity block, "
-                              "found end of file")
-                if tok.kind is TokenKind.PUNCT and tok.text == "}":
-                    self.advance()
-                    break
-                if tok.kind is not TokenKind.KEYWORD:
-                    self.fail(f"expected entity property, found {tok.text!r}")
-                if tok.text == "human":
-                    self.advance()
-                    is_human = True
-                elif tok.text == "sa_level":
-                    self.advance()
-                    sa_tok = self.expect_int("SA level")
-                    if sa_tok.value not in (1, 2, 3):
-                        self.diagnostics.append(diag(
-                            "PSY000", "sa_level must be 1, 2, or 3",
-                            sa_tok.span))
-                    sa_level = sa_tok.value
-                elif tok.text == "psych_state":
-                    self.advance()
-                    psych_state = self.expect_string().value
-                elif tok.text == "algorithm":
-                    self.advance()
-                    algorithm = self.expect_string().value
-                elif tok.text == "process_model":
-                    self.advance()
-                    process_model.append(self.expect_string().value)
-                else:
-                    self.fail(f"expected entity property, found {tok.text!r}")
-        span = self.decl_span(kw)
-        if not is_human and (sa_level is not None or psych_state is not None):
+        while True:
+            tok = self.peek()
+            if tok is None:
+                self.fail("expected '}' to close entity block, "
+                          "found end of file")
+            if tok.kind is TokenKind.PUNCT and tok.text == "}":
+                self.advance()
+                break
+            if tok.kind is not TokenKind.KEYWORD:
+                self.fail(f"expected entity property, found {tok.text!r}")
+            if tok.text == "human":
+                self.advance()
+                values["is_human"] = True
+            elif tok.text == "sa_level":
+                self.advance()
+                sa_tok = self.expect(TokenKind.INT, "SA level")
+                if sa_tok.value not in (1, 2, 3):
+                    self.diagnostics.append(diag(
+                        "PSY000", "sa_level must be 1, 2, or 3",
+                        sa_tok.span))
+                values["sa_level"] = sa_tok.value
+            elif tok.text in ("psych_state", "algorithm"):
+                self.advance()
+                values[tok.text] = self.expect(TokenKind.STRING,
+                                               "string").value
+            elif tok.text == "process_model":
+                self.advance()
+                process_model.append(
+                    self.expect(TokenKind.STRING, "string").value)
+            else:
+                self.fail(f"expected entity property, found {tok.text!r}")
+        values["process_model"] = tuple(process_model)
+        if not values.get("is_human") and (
+                values.get("sa_level") is not None
+                or values.get("psych_state") is not None):
             self.diagnostics.append(diag(
-                "PSY000", f"entity '{ident}' declares sa_level or "
-                "psych_state but is not marked human", span))
-        return Entity(ident, name, level_tok.value, EntityKind(kw.text),
-                      is_human, sa_level, psych_state, algorithm,
-                      tuple(process_model))
-
-    def edge(self, kw: Token) -> ControlAction | FeedbackLink:
-        ident = self.expect_ident().text
-        label = self.expect_string("edge label").value
-        self.expect_keyword("from")
-        source = self.expect_ident("entity ID").text
-        self.expect_keyword("to")
-        target = self.expect_ident("entity ID").text
-        cls = FeedbackLink if kw.text == "feedback" else ControlAction
-        return cls(ident, label, source, target)
-
-    def resp(self, kw: Token) -> Responsibility:
-        ident = self.expect_ident().text
-        description = self.expect_string().value
-        self.expect_keyword("of")
-        assignee = self.expect_ident("entity ID").text
-        self.expect_keyword("from")
-        derived_from = self.idlist()
-        return Responsibility(ident, description, assignee, derived_from)
-
-    def uca(self, kw: Token) -> Uca:
-        ident = self.expect_ident().text
-        self.expect_keyword("on")
-        on = self.expect_ident("control action or feedback ID").text
-        self.expect_keyword("kind")
-        kind = self.expect_choice(UcaKind, "UCA kind")
-        self.expect_keyword("context")
-        context = self.expect_string("context").value
-        self.expect_keyword("hazards")
-        hazards = self.idlist()
-        return Uca(ident, on, kind, context, hazards)
-
-    def scenario(self, kw: Token) -> LossScenario:
-        ident = self.expect_ident().text
-        self.expect_keyword("for")
-        for_ref = self.expect_ident("UCA or control action ID").text
-        self.expect_keyword("factor")
-        factor = self.expect_choice(CausalFactor, "causal factor")
-        description = self.expect_string().value
-        return LossScenario(ident, for_ref, None, factor, description)
-
-    def assess(self, kw: Token) -> RiskAssessment:
-        hazard = self.expect_ident("hazard ID").text
-        self.expect_keyword("severity")
-        severity = self.expect_code(SeverityClass, "severity class")
-        self.expect_keyword("exposure")
-        exposure = self.expect_code(ExposureClass, "exposure class")
-        self.expect_keyword("controllability")
-        controllability = self.expect_code(ControllabilityClass,
-                                           "controllability class")
-        rationale = None
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.KEYWORD and \
-                tok.text == "rationale":
-            self.advance()
-            rationale = self.expect_string("rationale").value
-        return RiskAssessment(hazard, severity, exposure, controllability,
-                              rationale)
-
-    _DECL_PARSERS = {
-        "stakeholder": stakeholder,
-        "stake": stake,
-        "loss": loss,
-        "hazard": hazard,
-        "goal": goal,
-        "controller": entity,
-        "process": entity,
-        "action": edge,
-        "feedback": edge,
-        "resp": resp,
-        "uca": uca,
-        "scenario": scenario,
-        "assess": assess,
-    }
+                "PSY000", f"entity '{values['id']}' declares sa_level or "
+                "psych_state but is not marked human", self.decl_span(kw)))
 
     # -- driver -----------------------------------------------------------
 
@@ -389,7 +215,7 @@ class _Parser:
         while not self.at_end():
             tok = self.peek()
             if tok.kind is TokenKind.KEYWORD and \
-                    (tok.text in DECL_KEYWORDS or tok.text == "analysis"):
+                    (tok.text in _PLANS or tok.text == "analysis"):
                 return
             self.advance()
 
@@ -415,10 +241,10 @@ class _Parser:
                     header = parsed
                 first = False
                 continue
-            if tok.kind is TokenKind.KEYWORD and tok.text in self._DECL_PARSERS:
+            if tok.kind is TokenKind.KEYWORD and tok.text in _PLANS:
                 kw = self.advance()
                 try:
-                    decl = self._DECL_PARSERS[tok.text](self, kw)
+                    decl = self.declaration(kw)
                     decls.append((decl, self.decl_span(kw)))
                 except _ParseFailure:
                     self.recover()
@@ -431,6 +257,39 @@ class _Parser:
             self.recover()
             first = False
         return RawModel(header, tuple(decls))
+
+
+_TOKEN_KINDS = {Form.ID: TokenKind.IDENT, Form.STRING: TokenKind.STRING,
+                Form.INT: TokenKind.INT}
+
+
+def _steps(spec: DeclSpec) -> tuple:
+    """(keyword, attribute, reader, reader arguments, optional) for each
+    field of ``spec``, worked out once so parsing does not redo it."""
+    steps = []
+    for f in spec.fields:
+        if f.form is Form.BLOCK:
+            read, args = _Parser.entity_block, ()
+        elif f.form is Form.IDS:
+            read, args = _Parser.idlist, ()
+        elif isinstance(f.form, Form):
+            read = _Parser.value
+            args = (_TOKEN_KINDS[f.form], f.what or f.form.value, f.empty)
+        else:
+            read = _Parser.member
+            args = ({spelling(m): m for m in f.form}, f.what)
+        steps.append((f.keyword, f.attr, read, args, f.optional))
+    return tuple(steps)
+
+
+#: Declaration keyword -> (type, initial attributes, steps). Attributes
+#: that no field sets start as the keyword implies (``Entity.kind``) or
+#: as None (``LossScenario.scenario_type``, which resolution derives).
+_PLANS = {
+    keyword: (cls, {**dict.fromkeys(f.name for f in fields(cls)
+                                     if f.default is MISSING),
+                    **spec.implied(keyword)}, _steps(spec))
+    for cls, spec in DECLS.items() for keyword in spec.keywords}
 
 
 def parse(tokens: list[Token],

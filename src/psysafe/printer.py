@@ -7,7 +7,9 @@ a model equal to the input (spans aside).
 
 from __future__ import annotations
 
-from .model import AnalysisModel, Entity, EntityKind
+from operator import attrgetter
+
+from .model import DECLS, AnalysisModel, Entity, Form, spelling
 
 
 def _esc(text: str) -> str:
@@ -34,7 +36,25 @@ def _entity_props(e: Entity) -> str:
         props.append(f"algorithm {_q(e.algorithm)}")
     for pm in e.process_model:
         props.append(f"process_model {_q(pm)}")
-    return " { " + " ".join(props) + " }" if props else ""
+    return "{ " + " ".join(props) + " }" if props else ""
+
+
+_FORMATS = {Form.ID: str, Form.IDS: _ids, Form.STRING: _q, Form.INT: str,
+            Form.BLOCK: _entity_props}
+
+
+def _item(item):
+    return item
+
+
+#: (spec, sort key, (keyword, getter, formatter) per field) in table
+#: order, which is the canonical group order. The entity block formats
+#: the whole entity.
+_PLANS = [(spec, attrgetter(spec.fields[0].attr),
+           tuple((f.keyword, _item if f.attr is None else attrgetter(f.attr),
+                  _FORMATS[f.form] if isinstance(f.form, Form) else spelling)
+                 for f in spec.fields))
+          for spec in DECLS.values()]
 
 
 def print_canonical(model: AnalysisModel) -> str:
@@ -45,56 +65,20 @@ def print_canonical(model: AnalysisModel) -> str:
     if model.boundary is not None:
         out.append(f"  boundary {_q(model.boundary)}")
     out.append("}")
-
-    def by_id(items):
-        return sorted(items, key=lambda item: item.id)
-
-    groups: list[list[str]] = []
-
-    groups.append([f"stakeholder {s.id} {_q(s.name)}"
-                   for s in by_id(model.stakeholders)])
-    groups.append([f"stake {s.id} {_q(s.description)} of {s.holder}"
-                   for s in by_id(model.stakes)])
-    groups.append([f"loss {l.id} {_q(l.description)} violates "
-                   f"{_ids(l.violates)}" for l in by_id(model.losses)])
-    hazard_lines = []
-    for h in by_id(model.hazards):
-        line = f"hazard {h.id} {_q(h.description)} leads_to {_ids(h.leads_to)}"
-        if h.context is not None:
-            line += f" context {_q(h.context)}"
-        hazard_lines.append(line)
-    groups.append(hazard_lines)
-    groups.append([f"goal {g.id} {_q(g.description)} prevents "
-                   f"{_ids(g.prevents)}" for g in by_id(model.goals)])
-    groups.append([
-        f"{'process' if e.kind is EntityKind.PROCESS else 'controller'} "
-        f"{e.id} {_q(e.name)} level {e.level}{_entity_props(e)}"
-        for e in by_id(model.structure.entities)])
-    groups.append([f"action {a.id} {_q(a.label)} from {a.source} to "
-                   f"{a.target}" for a in by_id(model.structure.actions)])
-    groups.append([f"feedback {f.id} {_q(f.label)} from {f.source} to "
-                   f"{f.target}" for f in by_id(model.structure.feedbacks)])
-    groups.append([f"resp {r.id} {_q(r.description)} of {r.assignee} "
-                   f"from {_ids(r.derived_from)}"
-                   for r in by_id(model.responsibilities)])
-    groups.append([f"uca {u.id} on {u.on} kind {u.kind.value} context "
-                   f"{_q(u.context)} hazards {_ids(u.hazards)}"
-                   for u in by_id(model.ucas)])
-    groups.append([f"scenario {s.id} for {s.for_ref} factor "
-                   f"{s.factor.value} {_q(s.description)}"
-                   for s in by_id(model.scenarios)])
-    assess_lines = []
-    for hazard_id in sorted(model.assessments):
-        a = model.assessments[hazard_id]
-        line = (f"assess {a.hazard} severity {a.severity.name} exposure "
-                f"{a.exposure.name} controllability {a.controllability.name}")
-        if a.rationale is not None:
-            line += f" rationale {_q(a.rationale)}"
-        assess_lines.append(line)
-    groups.append(assess_lines)
-
-    for group in groups:
-        if group:
+    for spec, key, steps in _PLANS:
+        items = sorted(spec.items(model), key=key)
+        if items:
             out.append("")
-            out.extend(group)
+        for item in items:
+            words = [spec.keyword_of(item)]
+            for keyword, get, fmt in steps:
+                value = get(item)
+                if value is None:  # an absent optional field
+                    continue
+                if keyword is not None:
+                    words.append(keyword)
+                text = fmt(value)
+                if text:  # an entity without properties has no block
+                    words.append(text)
+            out.append(" ".join(words))
     return "\n".join(out) + "\n"

@@ -1,5 +1,9 @@
-from psysafe.lexer import tokenize
-from psysafe.model import EntityKind, Hazard, Loss, Uca, UcaKind
+import pytest
+
+from psysafe.diagnostics import SourceSpan
+from psysafe.lexer import KEYWORDS, tokenize
+from psysafe.model import (DECLS, EntityKind, Form, Hazard, Loss, Uca,
+                           UcaKind, spelling)
 from psysafe.parser import merge_raw_models, parse
 
 
@@ -145,3 +149,278 @@ def test_header_must_be_first_in_its_file():
     assert model.header is None
     assert len(diags) == 1
     assert "first" in diags[0].message
+
+
+UCA_KINDS = ("expected UCA kind (not_provided, provided, wrong_timing, "
+             "wrong_duration)")
+FACTORS = ("expected causal factor (controller_failure, "
+           "inadequate_algorithm, unsafe_input, inadequate_process_model)")
+
+#: One input per distinct syntax-error message: (source, message, start
+#: and end column of the span; every span is on line 1).
+SYNTAX_ERRORS = [
+    ('analysis',
+     'expected analysis title, found end of file',
+     9, 9),
+    ('analysis "t" sae_level',
+     "expected '{', found 'sae_level'",
+     14, 23),
+    ('analysis "t" { = 4 }',
+     "expected 'sae_level', found '='",
+     16, 17),
+    ('analysis "t" { sae_level 4 }',
+     "expected '=', found '4'",
+     26, 27),
+    ('analysis "t" { sae_level = x }',
+     "expected SAE level, found 'x'",
+     28, 29),
+    ('analysis "t" { sae_level = 7 }',
+     'sae_level must be between 2 and 5, got 7',
+     28, 29),
+    ('analysis "t" { sae_level = 4 boundary }',
+     "expected boundary note, found '}'",
+     39, 40),
+    ('analysis "t" { sae_level = 4 "b" }',
+     'expected \'}\', found \'"b"\'',
+     30, 33),
+    ('analysis "a" { sae_level = 4 } analysis "b" { sae_level = 4 }',
+     'analysis header must be the first and only header of the model',
+     32, 62),
+    ('"x"',
+     'expected a declaration, found \'"x"\'',
+     1, 4),
+    ('stakeholder "n"',
+     'expected identifier, found \'"n"\'',
+     13, 16),
+    ('stakeholder',
+     'expected identifier, found end of file',
+     12, 12),
+    ('stakeholder SH1',
+     'expected stakeholder name, found end of file',
+     16, 16),
+    ('stakeholder SH1 ""',
+     'stakeholder name must not be empty',
+     17, 19),
+    ('stake ST1 of SH1',
+     "expected string, found 'of'",
+     11, 13),
+    ('stake ST1 "d" SH1',
+     "expected 'of', found 'SH1'",
+     15, 18),
+    ('stake ST1 "d" violates SH1',
+     "expected 'of', found 'violates'",
+     15, 23),
+    ('stake ST1 "d" of "SH1"',
+     'expected stakeholder ID, found \'"SH1"\'',
+     18, 23),
+    ('loss L1 "d" ST1',
+     "expected 'violates', found 'ST1'",
+     13, 16),
+    ('loss L1 "d" violates ST1,',
+     'expected identifier, found end of file',
+     26, 26),
+    ('loss L1 "d" violates ST1 ST2',
+     "expected a declaration, found 'ST2'",
+     26, 29),
+    ('hazard H1 "d" L1',
+     "expected 'leads_to', found 'L1'",
+     15, 17),
+    ('hazard H1 "d" leads_to L1 context 3',
+     "expected context note, found '3'",
+     35, 36),
+    ('goal SG1 "d" H1',
+     "expected 'prevents', found 'H1'",
+     14, 16),
+    ('controller C1 level 1',
+     "expected entity name, found 'level'",
+     15, 20),
+    ('process P1 "p" 1',
+     "expected 'level', found '1'",
+     16, 17),
+    ('controller C1 "c" level one',
+     "expected hierarchy level, found 'one'",
+     25, 28),
+    ('controller C1 "c" level 0',
+     'hierarchy level must be 1 or greater',
+     25, 26),
+    ('controller C1 "c" level 1 { human',
+     "expected '}' to close entity block, found end of file",
+     34, 34),
+    ('controller C1 "c" level 1 { "x" }',
+     'expected entity property, found \'"x"\'',
+     29, 32),
+    ('controller C1 "c" level 1 { level }',
+     "expected entity property, found 'level'",
+     29, 34),
+    ('controller C1 "c" level 1 { human sa_level x }',
+     "expected SA level, found 'x'",
+     44, 45),
+    ('controller C1 "c" level 1 { human sa_level 4 }',
+     'sa_level must be 1, 2, or 3',
+     44, 45),
+    ('controller C1 "c" level 1 { sa_level 2 }',
+     "entity 'C1' declares sa_level or psych_state but is not marked human",
+     1, 41),
+    ('process P1 "p" level 2 { psych_state "tired" }',
+     "entity 'P1' declares sa_level or psych_state but is not marked human",
+     1, 47),
+    ('controller C1 "c" level 1 { psych_state }',
+     "expected string, found '}'",
+     41, 42),
+    ('controller C1 "c" level 1 { algorithm 1 }',
+     "expected string, found '1'",
+     39, 40),
+    ('controller C1 "c" level 1 { process_model x }',
+     "expected string, found 'x'",
+     43, 44),
+    ('action CA1 from C1 to C2',
+     "expected edge label, found 'from'",
+     12, 16),
+    ('action CA1 "a" C1',
+     "expected 'from', found 'C1'",
+     16, 18),
+    ('feedback FB1 "f" from "C1"',
+     'expected entity ID, found \'"C1"\'',
+     23, 27),
+    ('feedback FB1 "f" from C1 C2',
+     "expected 'to', found 'C2'",
+     26, 28),
+    ('action CA1 "a" from C1 to',
+     'expected entity ID, found end of file',
+     26, 26),
+    ('resp R1 "r" C1',
+     "expected 'of', found 'C1'",
+     13, 15),
+    ('resp R1 "r" of "C1"',
+     'expected entity ID, found \'"C1"\'',
+     16, 20),
+    ('resp R1 "r" of C1 SG1',
+     "expected 'from', found 'SG1'",
+     19, 22),
+    ('resp R1 "r" of C1 from',
+     'expected identifier, found end of file',
+     23, 23),
+    ('uca UCA1 CA1',
+     "expected 'on', found 'CA1'",
+     10, 13),
+    ('uca UCA1 on kind',
+     "expected control action or feedback ID, found 'kind'",
+     13, 17),
+    ('uca UCA1 on CA1 provided',
+     "expected 'kind', found 'provided'",
+     17, 25),
+    ('uca UCA1 on CA1 kind late context "c" hazards H1',
+     UCA_KINDS,
+     22, 26),
+    ('uca UCA1 on CA1 kind factor',
+     UCA_KINDS,
+     22, 28),
+    ('uca UCA1 on CA1 kind',
+     UCA_KINDS,
+     21, 21),
+    ('uca UCA1 on CA1 kind provided "c"',
+     'expected \'context\', found \'"c"\'',
+     31, 34),
+    ('uca UCA1 on CA1 kind provided context H1',
+     "expected context, found 'H1'",
+     39, 41),
+    ('uca UCA1 on CA1 kind provided context "c"',
+     "expected 'hazards', found end of file",
+     42, 42),
+    ('scenario SC1 UCA1',
+     "expected 'for', found 'UCA1'",
+     14, 18),
+    ('scenario SC1 for factor',
+     "expected UCA or control action ID, found 'factor'",
+     18, 24),
+    ('scenario SC1 for UCA1 unsafe_input',
+     "expected 'factor', found 'unsafe_input'",
+     23, 35),
+    ('scenario SC1 for UCA1 factor bad "d"',
+     FACTORS,
+     30, 33),
+    ('scenario SC1 for UCA1 factor',
+     FACTORS,
+     29, 29),
+    ('scenario SC1 for UCA1 factor unsafe_input',
+     'expected string, found end of file',
+     42, 42),
+    ('assess "H1"',
+     'expected hazard ID, found \'"H1"\'',
+     8, 12),
+    ('assess H1 S2',
+     "expected 'severity', found 'S2'",
+     11, 13),
+    ('assess H1 severity S4',
+     "expected severity class (S1, S2, S3), found 'S4'",
+     20, 22),
+    ('assess H1 severity provided',
+     "expected severity class (S1, S2, S3), found 'provided'",
+     20, 28),
+    ('assess H1 severity',
+     'expected severity class, found end of file',
+     19, 19),
+    ('assess H1 severity S2 E3',
+     "expected 'exposure', found 'E3'",
+     23, 25),
+    ('assess H1 severity S2 exposure E5',
+     "expected exposure class (E1, E2, E3, E4), found 'E5'",
+     32, 34),
+    ('assess H1 severity S2 exposure',
+     'expected exposure class, found end of file',
+     31, 31),
+    ('assess H1 severity S2 exposure E3 C2',
+     "expected 'controllability', found 'C2'",
+     35, 37),
+    ('assess H1 severity S2 exposure E3 controllability C4',
+     "expected controllability class (C1, C2, C3), found 'C4'",
+     51, 53),
+    ('assess H1 severity S2 exposure E3 controllability',
+     'expected controllability class, found end of file',
+     50, 50),
+    ('assess H1 severity S2 exposure E3 controllability C2 rationale',
+     'expected rationale, found end of file',
+     63, 63),
+    ('assess H1 severity S2 exposure E3 controllability C2 rationale H1',
+     "expected rationale, found 'H1'",
+     64, 66),
+
+]
+
+
+@pytest.mark.parametrize("source,message,start_col,end_col", SYNTAX_ERRORS)
+def test_syntax_error_message_and_span(source, message, start_col, end_col):
+    lex = tokenize(source, "t.psy")
+    assert not lex.diagnostics
+    _, diags = parse(lex.tokens, "t.psy")
+    assert [(d.rule, d.message, d.span) for d in diags] == [
+        ("PSY000", message, SourceSpan("t.psy", 1, start_col, 1, end_col))]
+
+
+def test_table_keywords_are_lexer_keywords():
+    # A field keyword or keyword-spelled value missing from KEYWORDS would
+    # lex as an identifier and never match.
+    words = set()
+    for spec in DECLS.values():
+        words.update(spec.keywords)
+        for f in spec.fields:
+            if f.keyword is not None:
+                words.add(f.keyword)
+            if not isinstance(f.form, Form):
+                words.update(spelling(m) for m in f.form
+                             if isinstance(m.value, str))
+    assert {"assess", "controllability", "provided", "unsafe_input"} <= words
+    assert words - KEYWORDS == set()
+
+
+def test_recovery_stops_at_exactly_the_table_declaration_keywords():
+    # After a broken declaration the parser skips to the next token it
+    # recovers at; a declaration cut short there adds a second diagnostic.
+    stops = set()
+    for word in KEYWORDS:
+        _, diags = parse(tokenize(f"stakeholder 1 {word}", "t.psy").tokens,
+                         "t.psy")
+        if len(diags) == 2:
+            stops.add(word)
+    table = {kw for spec in DECLS.values() for kw in spec.keywords}
+    assert stops == table | {"analysis"}
