@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceSpan, diag
+from .model import DECLS, Form, spelling
 
 
 class TokenKind(enum.Enum):
@@ -25,26 +26,38 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
+#: Reserved words: every keyword and keyword-spelled enum value of the
+#: declaration table, plus the words of the ``analysis`` header and the
+#: entity property block, which the parser reads by hand.
 KEYWORDS = frozenset({
     "analysis", "sae_level", "boundary",
-    "stakeholder", "stake", "loss", "hazard", "goal",
-    "controller", "process", "level",
     "human", "sa_level", "psych_state", "algorithm", "process_model",
-    "action", "feedback", "from", "to",
-    "resp", "of",
-    "uca", "on", "kind", "context", "hazards",
-    "not_provided", "provided", "wrong_timing", "wrong_duration",
-    "scenario", "for", "factor",
-    "controller_failure", "inadequate_algorithm", "unsafe_input",
-    "inadequate_process_model",
-    "assess", "severity", "exposure", "controllability", "rationale",
-    "violates", "leads_to", "prevents",
+    *(kw for spec in DECLS.values() for kw in spec.keywords),
+    *(f.keyword for spec in DECLS.values() for f in spec.fields
+      if f.keyword is not None),
+    *(spelling(m) for spec in DECLS.values() for f in spec.fields
+      if not isinstance(f.form, Form) for m in f.form
+      if isinstance(m.value, str)),
 })
 
 PUNCT_CHARS = frozenset("{}=,")
 
-_IDENT_START = re.compile(r"[A-Za-z]")
-_IDENT_CONT = re.compile(r"[A-Za-z0-9_.]")
+#: One alternative per lexical class, told apart by the first character;
+#: none crosses a line end. A string body is the unrolled form of
+#: ``([^"\\\r\n]|\\[^\r\n])*``. A backslash before the line end belongs
+#: to an unterminated string, but ``\`` after a closed one is illegal.
+_TOKEN_RE = re.compile(r"""
+    (?P<newline> \r\n?|\n )
+  | (?P<blank> [ \t]+ )
+  | \# (?P<comment> [^\r\n]* )
+  | (?P<punct> [{}=,] )
+  | (?P<int> [0-9]+ )
+  | (?P<ident> [A-Za-z][A-Za-z0-9_.]* )
+  | " (?P<string> [^"\\\r\n]* (?:\\[^\r\n][^"\\\r\n]*)* )
+      (?: (?P<closed> ") | \\? )
+  | (?P<illegal> . )
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ALLOW_RE = re.compile(r"^\s*psysafe-allow\b(.*)$")
 _RULE_RE = re.compile(r"PSY\d{3}")
 
@@ -74,145 +87,58 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
     line. The token list never contains an EOF sentinel.
     """
     res = LexResult()
-    pos = 0
     line = 1
-    col = 1
-    n = len(source)
-    if source.startswith("﻿"):
-        pos = 1
-
-    def span_from(sl: int, sc: int) -> SourceSpan:
-        return SourceSpan(file, sl, sc, line, col)
-
-    while pos < n:
-        ch = source[pos]
-
-        if ch == "\r":
-            pos += 2 if source.startswith("\r\n", pos) else 1
+    # Offset of the current line's first column; a leading BOM takes none.
+    line_start = 1 if source.startswith("\ufeff") else 0
+    for m in _TOKEN_RE.finditer(source, line_start):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
+        if kind == "blank":
             continue
-        if ch in " \t":
-            pos += 1
-            col += 1
-            continue
-
-        if ch == "#":
-            start = pos
-            while pos < n and source[pos] not in "\r\n":
-                pos += 1
-            _record_allow(res, source[start + 1:pos], line)
-            col += pos - start
-            continue
-
-        start_line, start_col = line, col
-
-        if ch in PUNCT_CHARS:
-            pos += 1
-            col += 1
-            res.tokens.append(Token(TokenKind.PUNCT, ch,
-                                    span_from(start_line, start_col)))
-            continue
-
-        if "0" <= ch <= "9":
-            start = pos
-            while pos < n and "0" <= source[pos] <= "9":
-                pos += 1
-                col += 1
-            text = source[start:pos]
+        text = m.group()
+        col = m.start() - line_start + 1
+        span = SourceSpan(file, line, col, line, col + len(text))
+        if kind == "ident":
+            res.tokens.append(Token(
+                TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                text, span, text))
+        elif kind == "punct":
+            res.tokens.append(Token(TokenKind.PUNCT, text, span))
+        elif kind == "int":
             try:
-                value = int(text)
+                res.tokens.append(Token(TokenKind.INT, text, span, int(text)))
             except ValueError:  # beyond the interpreter's int-string limit
                 res.diagnostics.append(diag(
                     "PSY000", f"integer literal too long ({len(text)} "
-                    "digits)", span_from(start_line, start_col)))
-                continue
-            res.tokens.append(Token(TokenKind.INT, text,
-                                    span_from(start_line, start_col), value))
-            continue
-
-        if _IDENT_START.match(ch):
-            start = pos
-            while pos < n and _IDENT_CONT.match(source[pos]):
-                pos += 1
-                col += 1
-            text = source[start:pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            res.tokens.append(Token(kind, text,
-                                    span_from(start_line, start_col), text))
-            continue
-
-        if ch == '"':
-            tok = _lex_string(source, pos, line, col, file, res)
-            if tok is None:
-                # Unterminated: resume at end of line.
-                while pos < n and source[pos] not in "\r\n":
-                    pos += 1
-                    col += 1
-            else:
-                res.tokens.append(tok)
-                pos += len(tok.text)
-                col = tok.span.end_col
-            continue
-
-        res.diagnostics.append(diag(
-            "PSY000", f"illegal character {ch!r}",
-            SourceSpan(file, line, col, line, col + 1)))
-        pos += 1
-        col += 1
-
-    return res
-
-
-def _lex_string(source: str, pos: int, line: int, col: int, file: str,
-                res: LexResult) -> Token | None:
-    """Scan a string literal starting at the opening quote.
-
-    Returns None (after recording a diagnostic) when the string is not
-    terminated before the end of the line.
-    """
-    start_pos, start_col = pos, col
-    i = pos + 1
-    out: list[str] = []
-    while i < len(source):
-        ch = source[i]
-        if ch in "\r\n":
-            break
-        if ch == '"':
-            text = source[start_pos:i + 1]
-            end_col = start_col + (i + 1 - start_pos)
-            return Token(TokenKind.STRING, text,
-                         SourceSpan(file, line, start_col, line, end_col),
-                         "".join(out))
-        if ch == "\\":
-            nxt = source[i + 1] if i + 1 < len(source) else ""
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-            if nxt in ("\r", "\n", ""):
-                i += 1
-                break  # reported as unterminated below
+                    "digits)", span))
+        elif kind == "comment":
+            _record_allow(res, m.group(kind), line)
+        elif kind == "illegal":
             res.diagnostics.append(diag(
-                "PSY000", f"unsupported escape sequence '\\{nxt}'",
-                SourceSpan(file, line, start_col + (i - start_pos),
-                           line, start_col + (i - start_pos) + 2)))
-            out.append(ch)
-            out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    res.diagnostics.append(diag(
-        "PSY000", "unterminated string literal",
-        SourceSpan(file, line, start_col, line,
-                   start_col + (i - start_pos))))
-    return None
+                "PSY000", f"illegal character {text!r}", span))
+        else:  # a string, closed or not
+            value = m.group("string")
+            if "\\" in value:
+                for esc in _ESCAPE_RE.finditer(value):
+                    if esc[1] not in '"\\':
+                        c = col + 1 + esc.start()
+                        res.diagnostics.append(diag(
+                            "PSY000", f"unsupported escape sequence "
+                            f"'{esc[0]}'", SourceSpan(file, line, c, line,
+                                                      c + 2)))
+                # Only \" and \\ decode; other escapes stay as written.
+                value = _ESCAPE_RE.sub(
+                    lambda e: e[1] if e[1] in '"\\' else e[0], value)
+            if m.group("closed") is None:
+                # Unterminated: the match ran to the end of the line.
+                res.diagnostics.append(diag(
+                    "PSY000", "unterminated string literal", span))
+            else:
+                res.tokens.append(Token(TokenKind.STRING, text, span, value))
+    return res
 
 
 def _record_allow(res: LexResult, comment: str, line: int) -> None:

@@ -516,6 +516,7 @@ def resolve(model: RawModel) -> AnalysisModel:
     Checks ID uniqueness (PSY013) and that every reference names an
     existing entity of the expected kind (PSY011); nothing is silently
     dropped. Raises :class:`ResolveError` with all findings on failure.
+    The header's ``sae_level`` range is the parser's check, not this one.
     """
     diags: list[Diagnostic] = []
 
@@ -523,10 +524,6 @@ def resolve(model: RawModel) -> AnalysisModel:
         diags.append(diag("PSY000", "model has no analysis header",
                           SourceSpan("<input>", 1, 1, 1, 1)))
         raise ResolveError(diags)
-    if model.header.sae_level not in (2, 3, 4, 5):
-        diags.append(diag("PSY000",
-                          f"sae_level must be between 2 and 5, got "
-                          f"{model.header.sae_level}", model.header.span))
 
     # Pass 1: declaration kinds and duplicate IDs.
     kinds: dict[str, EntityKind] = {}

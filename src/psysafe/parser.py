@@ -110,12 +110,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.text in spelled:
             return spelled[self.advance().text]
-        listed = f"{what} ({', '.join(spelled)})"
-        if isinstance(next(iter(spelled.values())).value, str):
-            self.fail(f"expected {listed}")  # keywords: no "found" part
-        if tok is None:
-            self.fail(f"expected {what}, found end of file")
-        self.fail(f"expected {listed}, found {tok.text!r}")
+        found = "end of file" if tok is None else repr(tok.text)
+        self.fail(f"expected {what} ({', '.join(spelled)}), found {found}")
 
     def idlist(self) -> frozenset[str]:
         ids = [self.expect(TokenKind.IDENT, "identifier").text]

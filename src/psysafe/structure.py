@@ -138,13 +138,12 @@ def uca_category_coverage(model: AnalysisModel) -> list[CoverageRow]:
     actions without any UCA sort first. UCAs attached to feedback links
     contribute to no row here.
     """
-    rows = []
-    for action in model.structure.actions:
-        by_kind = []
-        for kind in UcaKind:
-            ids = sorted(u.id for u in model.ucas
-                         if u.on == action.id and u.kind is kind)
-            by_kind.append((kind, tuple(ids)))
-        rows.append(CoverageRow(action.id, tuple(by_kind)))
+    ids: dict[tuple[str, UcaKind], list[str]] = {}
+    for u in model.ucas:
+        ids.setdefault((u.on, u.kind), []).append(u.id)
+    rows = [CoverageRow(action.id, tuple(
+                (kind, tuple(sorted(ids.get((action.id, kind), ()))))
+                for kind in UcaKind))
+            for action in model.structure.actions]
     rows.sort(key=lambda r: (not r.uncovered, r.action))
     return rows

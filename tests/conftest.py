@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from psysafe import LintConfig
 from psysafe.loader import load_model
@@ -8,6 +9,10 @@ from psysafe.loader import load_model
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus" / "paper"
 GOLDEN_DIR = CORPUS_DIR / "golden"
+
+#: Settings of every hypothesis property that fuzzes an input surface:
+#: derandomized, so the suite stays repeatable.
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ else may be raised. ``parse_config`` always returns, with findings from
 the catalog. Examples are derandomized so the suite stays repeatable.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from psysafe.diagnostics import RULES, DiagnosticError
@@ -14,9 +14,7 @@ from psysafe.lexer import KEYWORDS, PUNCT_CHARS, tokenize
 from psysafe.lints import LintConfig, parse_config
 from psysafe.loader import load_sources
 
-from tests.conftest import CORPUS_DIR
-
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+from tests.conftest import CORPUS_DIR, FUZZ
 
 #: The corpus as one token stream, the text each mutation starts from.
 CORPUS_TOKENS = [tok.text for path in sorted(CORPUS_DIR.glob("*.psy"))

@@ -1,7 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from psysafe.diagnostics import SourceSpan
 from psysafe.lexer import Token, TokenKind, tokenize
+
+from tests.conftest import FUZZ
 
 
 def kinds(text):
@@ -85,10 +90,14 @@ def test_unknown_escape_is_reported():
 def test_comments_skipped_and_allow_collected():
     res = tokenize("# plain comment\n"
                    "loss L1 \"x\" violates ST1  # psysafe-allow PSY001\n"
-                   "goal G1 \"y\" prevents H1 # psysafe-allow PSY003, PSY004\n")
+                   "goal G1 \"y\" prevents H1 # psysafe-allow PSY003, PSY004\n"
+                   "hazard H1 \"z\" leads_to L1 # psysafe-allow PSY005\r\n"
+                   "stake")
     assert not res.diagnostics
     assert res.allows == {2: frozenset({"PSY001"}),
-                          3: frozenset({"PSY003", "PSY004"})}
+                          3: frozenset({"PSY003", "PSY004"}),
+                          4: frozenset({"PSY005"})}
+    assert res.tokens[-1].span == SourceSpan("<input>", 5, 1, 5, 6)
 
 
 def test_hash_inside_string_is_not_a_comment():
@@ -124,6 +133,56 @@ def test_spans_reconstruct_text():
         assert tok.span.start_line == tok.span.end_line
         line = lines[tok.span.start_line - 1]
         assert line[tok.span.start_col - 1:tok.span.end_col - 1] == tok.text
+
+
+#: Edge cases with exact spans: (source, tokens as (text, line, start and
+#: end column), diagnostics as (message, line, start and end column)).
+EXACT_SPANS = [
+    ("\ufeffloss L1", [("loss", 1, 1, 5), ("L1", 1, 6, 8)], []),
+    ("loss\rhazard", [("loss", 1, 1, 5), ("hazard", 2, 1, 7)], []),
+    ('"a"\\', [('"a"', 1, 1, 4)], [("illegal character '\\\\'", 1, 4, 5)]),
+    ('"a\\\nloss', [("loss", 2, 1, 5)],
+     [("unterminated string literal", 1, 1, 4)]),
+    ('loss "a\\', [("loss", 1, 1, 5)],
+     [("unterminated string literal", 1, 6, 9)]),
+    ('"a\\q b L1\nL2', [("L2", 2, 1, 3)],
+     [("unsupported escape sequence '\\q'", 1, 3, 5),
+      ("unterminated string literal", 1, 1, 10)]),
+    ("loss\fL1", [("loss", 1, 1, 5), ("L1", 1, 6, 8)],
+     [("illegal character '\\x0c'", 1, 5, 6)]),
+    ('"\U0001F600" L1', [('"\U0001F600"', 1, 1, 4), ("L1", 1, 5, 7)], []),
+]
+
+
+@pytest.mark.parametrize("source,tokens,diagnostics", EXACT_SPANS)
+def test_exact_spans(source, tokens, diagnostics):
+    res = tokenize(source)
+    assert [(t.text, t.span.start_line, t.span.start_col, t.span.end_col)
+            for t in res.tokens] == tokens
+    assert all(t.span.end_line == t.span.start_line for t in res.tokens)
+    assert [(d.message, d.span.start_line, d.span.start_col, d.span.end_col)
+            for d in res.diagnostics] == diagnostics
+    assert all(d.span.end_line == d.span.start_line
+               for d in res.diagnostics)
+
+
+@FUZZ
+@given(st.text(alphabet="\ufeff\r\n\t\f \"\\#\U0001F600\u00b2\u0663"
+                        "\u00e9aZ_.07{=,"))
+def test_spans_lie_on_one_line_of_the_source(text):
+    # A leading BOM is no part of line 1; every line end is one of these.
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+    res = tokenize(text)
+    for tok in res.tokens:
+        span = tok.span
+        assert span.start_line == span.end_line
+        line = lines[span.start_line - 1]
+        assert line[span.start_col - 1:span.end_col - 1] == tok.text
+    for d in res.diagnostics:
+        span = d.span
+        assert span.start_line == span.end_line
+        assert 1 <= span.start_col < span.end_col \
+            <= len(lines[span.start_line - 1]) + 1
 
 
 @given(st.text(alphabet=st.characters(blacklist_characters="\n\r",

@@ -61,6 +61,17 @@ def test_repeated_unknown_reference_is_one_psy011():
         ["unknown stake 'ST9' referenced by L1"]
 
 
+def test_out_of_range_sae_level_is_reported_once():
+    lex = tokenize('analysis "t" { sae_level = 7 }', "t.psy")
+    raw, diags = parse(lex.tokens, "t.psy")
+    try:
+        resolve(raw)
+    except ResolveError as exc:
+        diags += exc.diagnostics
+    assert [d.message for d in diags] == \
+        ["sae_level must be between 2 and 5, got 7"]
+
+
 def test_wrong_kind_reference_is_psy011():
     with pytest.raises(ResolveError) as exc:
         resolve_text('analysis "t" { sae_level = 2 }\n'

@@ -152,9 +152,10 @@ def test_header_must_be_first_in_its_file():
 
 
 UCA_KINDS = ("expected UCA kind (not_provided, provided, wrong_timing, "
-             "wrong_duration)")
+             "wrong_duration), found ")
 FACTORS = ("expected causal factor (controller_failure, "
-           "inadequate_algorithm, unsafe_input, inadequate_process_model)")
+           "inadequate_algorithm, unsafe_input, inadequate_process_model), "
+           "found ")
 
 #: One input per distinct syntax-error message: (source, message, start
 #: and end column of the span; every span is on line 1).
@@ -310,13 +311,13 @@ SYNTAX_ERRORS = [
      "expected 'kind', found 'provided'",
      17, 25),
     ('uca UCA1 on CA1 kind late context "c" hazards H1',
-     UCA_KINDS,
+     UCA_KINDS + "'late'",
      22, 26),
     ('uca UCA1 on CA1 kind factor',
-     UCA_KINDS,
+     UCA_KINDS + "'factor'",
      22, 28),
     ('uca UCA1 on CA1 kind',
-     UCA_KINDS,
+     UCA_KINDS + "end of file",
      21, 21),
     ('uca UCA1 on CA1 kind provided "c"',
      'expected \'context\', found \'"c"\'',
@@ -337,10 +338,10 @@ SYNTAX_ERRORS = [
      "expected 'factor', found 'unsafe_input'",
      23, 35),
     ('scenario SC1 for UCA1 factor bad "d"',
-     FACTORS,
+     FACTORS + "'bad'",
      30, 33),
     ('scenario SC1 for UCA1 factor',
-     FACTORS,
+     FACTORS + "end of file",
      29, 29),
     ('scenario SC1 for UCA1 factor unsafe_input',
      'expected string, found end of file',
@@ -358,7 +359,7 @@ SYNTAX_ERRORS = [
      "expected severity class (S1, S2, S3), found 'provided'",
      20, 28),
     ('assess H1 severity',
-     'expected severity class, found end of file',
+     'expected severity class (S1, S2, S3), found end of file',
      19, 19),
     ('assess H1 severity S2 E3',
      "expected 'exposure', found 'E3'",
@@ -367,7 +368,7 @@ SYNTAX_ERRORS = [
      "expected exposure class (E1, E2, E3, E4), found 'E5'",
      32, 34),
     ('assess H1 severity S2 exposure',
-     'expected exposure class, found end of file',
+     'expected exposure class (E1, E2, E3, E4), found end of file',
      31, 31),
     ('assess H1 severity S2 exposure E3 C2',
      "expected 'controllability', found 'C2'",
@@ -376,7 +377,7 @@ SYNTAX_ERRORS = [
      "expected controllability class (C1, C2, C3), found 'C4'",
      51, 53),
     ('assess H1 severity S2 exposure E3 controllability',
-     'expected controllability class, found end of file',
+     'expected controllability class (C1, C2, C3), found end of file',
      50, 50),
     ('assess H1 severity S2 exposure E3 controllability C2 rationale',
      'expected rationale, found end of file',
