@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench-smoke
+.PHONY: test acceptance regen-goldens bench bench-smoke
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -8,6 +8,12 @@ acceptance:
 
 regen-goldens:
 	python3 scripts/regen_goldens.py
+
+W ?= synth-trace
+SEED ?= 1
+
+bench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 25
 
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py -q

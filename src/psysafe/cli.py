@@ -4,7 +4,7 @@ Subcommands::
 
     psysafe check <files...> [--strict] [--config <path>] [--coverage]
     psysafe psysil <S> <E> <C>
-    psysafe report <files...> --format json|md [--out <path>]
+    psysafe report <files...> --format json|md [--config <path>] [--out <path>]
     psysafe trace <files...> --from <ID> [--dir up|down|both]
     psysafe fmt <files...>
 
@@ -134,7 +134,7 @@ def cmd_psysil(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args.files, None, False)
+    config = _load_config(args.files, args.config, False)
     model, allows = load_model(args.files)
     report = build_report(model, dataclasses.replace(config, allows=allows))
     text = emit_json(report) if args.format == "json" \
@@ -204,6 +204,8 @@ def build_arg_parser() -> _ArgumentParser:
     p_report.add_argument("files", nargs="+", metavar="FILE")
     p_report.add_argument("--format", required=True,
                           choices=("json", "md"))
+    p_report.add_argument("--config", metavar="PATH",
+                          help="lint config file, as for check")
     p_report.add_argument("--out", metavar="PATH",
                           help="write to a file instead of stdout")
     p_report.set_defaults(func=cmd_report)

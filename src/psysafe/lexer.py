@@ -23,7 +23,6 @@ class TokenKind(enum.Enum):
     STRING = "string"
     INT = "integer"
     PUNCT = "punct"
-    EOF = "eof"
 
 
 #: Reserved words: every keyword and keyword-spelled enum value of the

@@ -6,13 +6,15 @@ marks as traced, nothing synthesized: loss -> stake, hazard -> loss, goal
 -> UCA/action. Stake holders and action/feedback endpoints are not traced.
 Edges point from the more derived artifact to the one it was derived from
 or refers to, so "up" follows edges forward towards stakes and "down"
-follows them backwards towards scenarios.
+follows them backwards towards scenarios. Each graph indexes its edges by
+source and by target once, so a trace is linear in what it reaches.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import DECLS, AnalysisModel, EdgeType, EntityKind
 
@@ -33,11 +35,25 @@ class TraceGraph:
     def node_ids(self) -> frozenset[str]:
         return frozenset(node_id for node_id, _ in self.nodes)
 
+    @cached_property
+    def _steps(self) -> dict[bool, dict[str, list[tuple[str, TraceEdge]]]]:
+        """``(other end, edge)`` pairs by source (key ``True``, forward) and
+        by target (``False``), each ordered by other end, then edge type."""
+        steps: dict = {True: {}, False: {}}
+        for e in self.edges:
+            steps[True].setdefault(e.source, []).append((e.target, e))
+            steps[False].setdefault(e.target, []).append((e.source, e))
+        for pairs in (*steps[True].values(), *steps[False].values()):
+            pairs.sort(key=lambda pair: (pair[0], pair[1].type.value))
+        return steps
+
     def outgoing(self, node_id: str) -> list[TraceEdge]:
-        return [e for e in self.edges if e.source == node_id]
+        """Edges from ``node_id``, ordered by target, then edge type."""
+        return [e for _, e in self._steps[True].get(node_id, ())]
 
     def incoming(self, node_id: str) -> list[TraceEdge]:
-        return [e for e in self.edges if e.target == node_id]
+        """Edges into ``node_id``, ordered by source, then edge type."""
+        return [e for _, e in self._steps[False].get(node_id, ())]
 
 
 def build_trace_graph(model: AnalysisModel) -> TraceGraph:
@@ -54,10 +70,14 @@ def build_trace_graph(model: AnalysisModel) -> TraceGraph:
     return TraceGraph(tuple(nodes), tuple(edges))
 
 
+#: ``forward`` values of the traversals each direction takes
+_FORWARD = {"up": (True,), "down": (False,), "both": (True, False)}
+
+
 def _graph_from(model: AnalysisModel, entity_id: str,
                 direction: str) -> TraceGraph:
     """The whole graph, once the start ID and direction are checked."""
-    if direction not in ("up", "down", "both"):
+    if direction not in _FORWARD:
         raise ValueError(f"direction must be up, down, or both, "
                          f"not {direction!r}")
     if model.kind_of(entity_id) is None:
@@ -77,10 +97,8 @@ def trace_from(model: AnalysisModel, entity_id: str,
     graph = _graph_from(model, entity_id, direction)
 
     reached = {entity_id}
-    if direction in ("up", "both"):
-        reached |= _closure(graph, entity_id, forward=True)
-    if direction in ("down", "both"):
-        reached |= _closure(graph, entity_id, forward=False)
+    for forward in _FORWARD[direction]:
+        reached |= _closure(graph, entity_id, forward)
 
     nodes = tuple((node_id, kind) for node_id, kind in graph.nodes
                   if node_id in reached)
@@ -90,15 +108,11 @@ def trace_from(model: AnalysisModel, entity_id: str,
 
 
 def _closure(graph: TraceGraph, start: str, forward: bool) -> set[str]:
-    adj: dict[str, set[str]] = {}
-    for e in graph.edges:
-        a, b = (e.source, e.target) if forward else (e.target, e.source)
-        adj.setdefault(a, set()).add(b)
     seen: set[str] = set()
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for nxt in adj.get(node, ()):
+        for nxt, _ in graph._steps[forward].get(node, ()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -117,20 +131,14 @@ def format_trace_tree(model: AnalysisModel, entity_id: str,
     lines = [f"{entity_id} [{model.kind_of(entity_id)}]"]
 
     def expand(node: str, forward: bool, depth: int, seen: set[str]) -> None:
-        edges = graph.outgoing(node) if forward else graph.incoming(node)
-        edges.sort(key=lambda e: ((e.target if forward else e.source),
-                                  e.type.value))
-        for e in edges:
-            other = e.target if forward else e.source
-            arrow = "->" if forward else "<-"
+        arrow = "->" if forward else "<-"
+        for other, e in graph._steps[forward].get(node, ()):
             lines.append(f"{'  ' * depth}{arrow} {e.type} {other} "
                          f"[{model.kind_of(other)}]")
             if other not in seen:
                 seen.add(other)
                 expand(other, forward, depth + 1, seen)
 
-    if direction in ("up", "both"):
-        expand(entity_id, True, 1, {entity_id})
-    if direction in ("down", "both"):
-        expand(entity_id, False, 1, {entity_id})
+    for forward in _FORWARD[direction]:
+        expand(entity_id, forward, 1, {entity_id})
     return "\n".join(lines) + "\n"

@@ -165,6 +165,17 @@ def test_config_file_overrides(tmp_path):
     assert "PSY007" not in proc.stderr
 
 
+def test_report_config_turns_a_rule_off(tmp_path):
+    conf = tmp_path / "psysafe.conf"
+    conf.write_text("lint { PSY007 = off }\n", encoding="utf-8")
+    proc = psysafe("report", "--format", "json", "--config", str(conf),
+                   *CORPUS_ARGS)
+    assert proc.returncode == 0
+    rules = [d["rule"] for d in json.loads(proc.stdout)["diagnostics"]]
+    assert rules == ["PSY005", "PSY006"]
+    assert "PSY007" not in proc.stderr
+
+
 def test_config_discovery_next_to_first_input(tmp_path):
     model = tmp_path / "m.psy"
     model.write_text('analysis "t" { sae_level = 2 }\n'

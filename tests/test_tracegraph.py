@@ -1,8 +1,12 @@
+from collections import deque
+
 import pytest
 
 from psysafe.loader import load_sources
 from psysafe.tracegraph import (EdgeType, build_trace_graph,
                                 format_trace_tree, trace_from)
+
+from tests.modelgen import random_model
 
 
 def edges_of(graph, edge_type):
@@ -90,6 +94,8 @@ def test_unknown_id_raises_key_error(corpus_model):
 def test_invalid_direction_raises_value_error(corpus_model):
     with pytest.raises(ValueError):
         trace_from(corpus_model, "H3", "sideways")
+    with pytest.raises(ValueError):
+        format_trace_tree(corpus_model, "H3", "sideways")
 
 
 def test_tree_rendering_is_deterministic(corpus_model):
@@ -99,3 +105,71 @@ def test_tree_rendering_is_deterministic(corpus_model):
     assert a.splitlines()[0] == "H3 [hazard]"
     assert "-> leads_to L1 [loss]" in a
     assert "<- prevents SG3 [goal]" in a
+
+
+def reference_trace(model, start, direction):
+    """Tree text and reached subgraph by scanning every edge at each node,
+    the way traces were computed before the graph indexed its edges."""
+    graph = build_trace_graph(model)
+
+    def steps(node, forward):
+        edges = [e for e in graph.edges
+                 if (e.source if forward else e.target) == node]
+        edges.sort(key=lambda e: ((e.target if forward else e.source),
+                                  e.type.value))
+        return [((e.target if forward else e.source), e) for e in edges]
+
+    lines = [f"{start} [{model.kind_of(start)}]"]
+
+    def expand(node, forward, depth, seen):
+        for other, e in steps(node, forward):
+            lines.append(f"{'  ' * depth}{'->' if forward else '<-'} "
+                         f"{e.type} {other} [{model.kind_of(other)}]")
+            if other not in seen:
+                seen.add(other)
+                expand(other, forward, depth + 1, seen)
+
+    reached = {start}
+    forwards = {"up": (True,), "down": (False,), "both": (True, False)}
+    for forward in forwards[direction]:
+        expand(start, forward, 1, {start})
+        queue = deque([start])
+        while queue:
+            for other, _ in steps(queue.popleft(), forward):
+                if other not in reached:
+                    reached.add(other)
+                    queue.append(other)
+    nodes = tuple(n for n in graph.nodes if n[0] in reached)
+    edges = tuple(e for e in graph.edges
+                  if e.source in reached and e.target in reached)
+    return "\n".join(lines) + "\n", nodes, edges
+
+
+def test_trace_matches_edge_scan_reference():
+    for seed in range(100):
+        model = random_model(seed)
+        for start in model.entity_ids:
+            for direction in ("up", "down", "both"):
+                tree, nodes, edges = reference_trace(model, start, direction)
+                where = (seed, start, direction)
+                assert format_trace_tree(model, start, direction) == tree, \
+                    where
+                sub = trace_from(model, start, direction)
+                assert (sub.nodes, sub.edges) == (nodes, edges), where
+
+
+def test_adjacency_lists_match_edge_scan():
+    # A subgraph from trace_from indexes its own edges, not the model's.
+    for seed in range(100):
+        model = random_model(seed)
+        graphs = [build_trace_graph(model)] + [
+            trace_from(model, start, "down") for start in model.entity_ids]
+        for graph in graphs:
+            for node in graph.node_ids():
+                out = [e for e in graph.edges if e.source == node]
+                inc = [e for e in graph.edges if e.target == node]
+                assert graph.outgoing(node) == sorted(
+                    out, key=lambda e: (e.target, e.type.value)), seed
+                assert graph.incoming(node) == sorted(
+                    inc, key=lambda e: (e.source, e.type.value)), seed
+                assert graph.outgoing(node) is not graph.outgoing(node)
