@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench bench-smoke
+.PHONY: test acceptance regen-goldens bench bench-smoke loc
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -17,3 +17,6 @@ bench:
 
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py -q
+
+loc:
+	@wc -l src/psysafe/*.py | tail -n 1

@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes are stable for CI: 0 success (warnings allowed unless
 ``--strict``), 1 error-severity findings (or warnings under ``--strict``),
-2 parse/resolution failure or unreadable input, 64 usage error.
+2 parse/resolution failure, unreadable input or unwritable output, 64
+usage error.
 
 Diagnostics go to stderr in ``file:line:col: severity[PSYnnn]: message``
 form; stdout carries only the requested artifact (level, report, tree, or
@@ -79,7 +80,7 @@ def _load_config(files: Sequence[str], explicit: str | None,
         path = Path(explicit)
     else:
         candidate = Path(files[0]).parent / "psysafe.conf" if files else None
-        if candidate is None or not candidate.is_file():
+        if candidate is None or not os.path.isfile(candidate):
             return LintConfig(strict=strict)
         path = candidate
     try:
@@ -238,9 +239,18 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except DiagnosticError as err:
         _print_diagnostics(err.diagnostics)
+        return EX_DATA
+    except OSError as exc:  # commands catch read errors: stdout failed
+        # Point stdout at the null device, or the flush at exit fails too.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"psysafe {args.command}: cannot write output: "
+              f"{exc.strerror}", file=sys.stderr)
         return EX_DATA
 
 

@@ -47,41 +47,51 @@ SYNTHETIC_SPAN = SourceSpan("<model>", 1, 1, 1, 1)
 class LintRule:
     id: str
     default_severity: Severity
+    #: As the rule table in ``docs/rules.md`` states it.
     description: str
+    #: Its findings stop the run (exit 2), so no config may set it.
+    aborts: bool = False
 
 
 _CATALOG = [
     LintRule("PSY000", Severity.ERROR,
-             "syntax, lexical, or configuration error in an input file"),
+             "Input is lexically, syntactically, and configuration-wise "
+             "well formed.", aborts=True),
     LintRule("PSY001", Severity.WARNING,
-             "a loss must derive from the violation of at least one stake"),
+             "Every loss derives from the violation of at least one stake."),
     LintRule("PSY002", Severity.ERROR,
-             "a hazard must lead to at least one loss"),
+             "Every hazard leads to at least one loss."),
     LintRule("PSY003", Severity.ERROR,
-             "a hazard must be prevented by at least one safety goal"),
+             "Every hazard is prevented by at least one safety goal."),
     LintRule("PSY004", Severity.WARNING,
-             "a safety goal must yield at least one responsibility"),
+             "Every safety goal yields at least one responsibility."),
     LintRule("PSY005", Severity.WARNING,
-             "a hazard should be traced by at least one unsafe control action"),
+             "Every hazard is traced by at least one UCA."),
     LintRule("PSY006", Severity.WARNING,
-             "an unsafe control action should have at least one loss scenario"),
+             "Every UCA has at least one loss scenario explaining it."),
     LintRule("PSY007", Severity.WARNING,
-             "a hazard should carry a risk assessment"),
+             "Every hazard carries a risk assessment (severity, exposure, "
+             "controllability)."),
     LintRule("PSY009", Severity.WARNING,
-             "human entities should state sa_level and psych_state; "
-             "non-human controllers should declare a process model"),
+             "Human entities state `sa_level` and `psych_state`; non-human "
+             "controllers declare at least one `process_model`."),
     LintRule("PSY010", Severity.WARNING,
-             "every control action needs a feedback path from its target "
-             "back to its source"),
+             "Every control action has a feedback path from its target "
+             "back to its source, possibly through intermediate levels "
+             "(no open loops)."),
     LintRule("PSY011", Severity.ERROR,
-             "every reference must resolve to an existing entity of the "
-             "expected kind"),
+             "Every reference resolves to an existing entity of the "
+             "expected kind.", aborts=True),
     LintRule("PSY012", Severity.ERROR,
-             "a responsibility assignee must be part of the control structure"),
+             "Every responsibility assignee is part of the control "
+             "structure."),
     LintRule("PSY013", Severity.ERROR,
-             "entity IDs must be unique across the model"),
+             "Entity IDs are unique across the model; at most one "
+             "assessment per hazard.", aborts=True),
     LintRule("PSY014", Severity.ERROR,
-             "control actions flow down the hierarchy, feedback flows up"),
+             "Control actions flow down the hierarchy (source level <= "
+             "target level; equal levels allow peer arbitration) and "
+             "feedback flows up."),
 ]
 
 RULES: dict[str, LintRule] = {rule.id: rule for rule in _CATALOG}

@@ -1,10 +1,9 @@
 """Completeness lints over a resolved model, plus lint configuration.
 
-Structural violations of the risk model (PSY002, PSY003, PSY012) default
-to errors; coverage gaps that are normal mid-analysis (PSY001, PSY004,
-PSY005, PSY006, PSY007) default to warnings. A config file can promote,
-demote, or switch off any rule, and a ``# psysafe-allow PSYnnn`` comment
-on a declaration line suppresses that rule for that declaration.
+Each completeness rule is one row of :data:`COMPLETENESS`. A config file
+can promote, demote, or switch off any rule that does not abort the run,
+and a ``# psysafe-allow PSYnnn`` comment on a declaration line suppresses
+that rule for that declaration.
 """
 
 from __future__ import annotations
@@ -15,11 +14,24 @@ from typing import Mapping
 from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
 from .lexer import TokenKind, tokenize
-from .model import AnalysisModel, ScenarioType
+from .model import (DECLS, AnalysisModel, EntityKind, Hazard, Loss,
+                    LossScenario, Responsibility, RiskAssessment, SafetyGoal,
+                    Uca)
 from .structure import validate_structure
 
-SEVERITY_NAMES = {"error": Severity.ERROR, "warning": Severity.WARNING,
-                  "info": Severity.INFO}
+SETTINGS = tuple(s.value for s in Severity) + ("off",)
+
+
+def _setting_error(rule_id: str, value: str) -> str | None:
+    """Why ``rule_id = value`` is not a valid setting; None when it is."""
+    if rule_id not in RULES:
+        return f"unknown lint rule {rule_id!r}"
+    if RULES[rule_id].aborts:
+        return f"lint rule {rule_id} cannot be configured; it aborts the run"
+    if value not in SETTINGS:
+        return (f"invalid severity {value!r}; use "
+                f"{', '.join(SETTINGS[:-1])}, or {SETTINGS[-1]}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -38,10 +50,8 @@ class LintConfig:
 
     def __post_init__(self) -> None:
         for rule_id, value in self.overrides.items():
-            if rule_id not in RULES:
-                raise ValueError(f"unknown lint rule {rule_id!r}")
-            if value != "off" and value not in SEVERITY_NAMES:
-                raise ValueError(f"invalid severity {value!r} for {rule_id}")
+            if error := _setting_error(rule_id, value):
+                raise ValueError(error)
 
 
 def apply_config(diagnostics: list[Diagnostic],
@@ -58,10 +68,35 @@ def apply_config(diagnostics: list[Diagnostic],
         if override == "off":
             continue
         if override is not None:
-            d = Diagnostic(d.rule, SEVERITY_NAMES[override], d.message,
+            d = Diagnostic(d.rule, Severity(override), d.message,
                            d.span, d.related)
         out.append(d)
     return out
+
+
+#: The completeness rules: the rule; the declaration type a finding is
+#: about; the link it needs, as (declaration type, reference field) of
+#: :data:`~psysafe.model.DECLS`; and the message, ``{}`` being the ID. A
+#: link through the type's own field must name at least one declaration;
+#: one through another type's field must name each declaration.
+COMPLETENESS = (
+    ("PSY001", Loss, (Loss, "violates"),
+     "loss {} is not derived from any stake"),
+    ("PSY002", Hazard, (Hazard, "leads_to"),
+     "hazard {} does not lead to any loss"),
+    ("PSY003", Hazard, (SafetyGoal, "prevents"),
+     "hazard {} is not prevented by any safety goal"),
+    ("PSY004", SafetyGoal, (Responsibility, "derived_from"),
+     "goal {} has no responsibility derived from it"),
+    ("PSY005", Hazard, (Uca, "hazards"),
+     "hazard {} is not traced by any UCA"),
+    # IDs are unique across kinds, so the scenarios that name a UCA are
+    # exactly those that explain its occurrence.
+    ("PSY006", Uca, (LossScenario, "for_ref"),
+     "UCA {} has no loss scenario"),
+    ("PSY007", Hazard, (RiskAssessment, "hazard"),
+     "hazard {} has no risk assessment"),
+)
 
 
 def run_lints(model: AnalysisModel,
@@ -72,62 +107,21 @@ def run_lints(model: AnalysisModel,
     (file, line, rule) and identical on repeated runs.
     """
     diags: list[Diagnostic] = []
+    for rule, subject, (owner, attr), message in COMPLETENESS:
+        spec = DECLS[owner]
+        ref = next(r for r in spec.refs if r.attr == attr)
+        if owner is subject:
+            missing = [d for d in spec.items(model) if not ref.targets(d)]
+        else:
+            named = set().union(*map(ref.targets, spec.items(model)))
+            missing = [d for d in DECLS[subject].items(model)
+                       if d.id not in named]
+        diags.extend(diag(rule, message.format(d.id), model.span_of(d.id),
+                          (d.id,)) for d in missing)
 
-    for loss in model.losses:
-        if not loss.violates:
-            diags.append(diag(
-                "PSY001", f"loss {loss.id} is not derived from any stake",
-                model.span_of(loss.id), (loss.id,)))
-
-    for hazard in model.hazards:
-        if not hazard.leads_to:
-            diags.append(diag(
-                "PSY002", f"hazard {hazard.id} does not lead to any loss",
-                model.span_of(hazard.id), (hazard.id,)))
-
-    prevented = frozenset().union(*(g.prevents for g in model.goals)) \
-        if model.goals else frozenset()
-    for hazard in model.hazards:
-        if hazard.id not in prevented:
-            diags.append(diag(
-                "PSY003", f"hazard {hazard.id} is not prevented by any "
-                "safety goal", model.span_of(hazard.id), (hazard.id,)))
-
-    covered_goals = frozenset().union(
-        *(r.derived_from for r in model.responsibilities)) \
-        if model.responsibilities else frozenset()
-    for goal in model.goals:
-        if goal.id not in covered_goals:
-            diags.append(diag(
-                "PSY004", f"goal {goal.id} has no responsibility derived "
-                "from it", model.span_of(goal.id), (goal.id,)))
-
-    traced = frozenset().union(*(u.hazards for u in model.ucas)) \
-        if model.ucas else frozenset()
-    for hazard in model.hazards:
-        if hazard.id not in traced:
-            diags.append(diag(
-                "PSY005", f"hazard {hazard.id} is not traced by any UCA",
-                model.span_of(hazard.id), (hazard.id,)))
-
-    explained = frozenset(
-        s.for_ref for s in model.scenarios
-        if s.scenario_type is ScenarioType.UCA_OCCURRENCE)
-    for uca in model.ucas:
-        if uca.id not in explained:
-            diags.append(diag(
-                "PSY006", f"UCA {uca.id} has no loss scenario",
-                model.span_of(uca.id), (uca.id,)))
-
-    for hazard in model.hazards:
-        if hazard.id not in model.assessments:
-            diags.append(diag(
-                "PSY007", f"hazard {hazard.id} has no risk assessment",
-                model.span_of(hazard.id), (hazard.id,)))
-
-    structure_ids = frozenset(e.id for e in model.structure.entities)
+    nodes = (EntityKind.CONTROLLER, EntityKind.PROCESS)
     for resp in model.responsibilities:
-        if resp.assignee not in structure_ids:
+        if model.kind_of(resp.assignee) not in nodes:
             diags.append(diag(
                 "PSY012", f"responsibility {resp.id} assignee "
                 f"'{resp.assignee}' is not part of the control structure",
@@ -149,8 +143,9 @@ def parse_config(source: str, file: str = "psysafe.conf",
                  strict: bool = False) -> tuple[LintConfig, list[Diagnostic]]:
     """Parse a ``lint { PSYnnn = severity ... }`` configuration file.
 
-    Unknown rules or invalid severities are reported as PSY000 errors;
-    on any error the returned config carries no overrides.
+    Unknown rules, rules that abort the run, invalid severities and a
+    rule set twice are reported as PSY000 errors; on any error the
+    returned config carries no overrides.
     """
     lex = tokenize(source, file)
     diags = list(lex.diagnostics)
@@ -159,44 +154,42 @@ def parse_config(source: str, file: str = "psysafe.conf",
     i = 0
     while i < len(toks):
         tok = toks[i]
-        if tok.kind is TokenKind.IDENT and tok.text == "lint":
-            i += 1
-            if i >= len(toks) or toks[i].text != "{":
-                diags.append(diag("PSY000", "expected '{' after 'lint'",
-                                  tok.span))
-                break
-            i += 1
-            while i < len(toks) and toks[i].text != "}":
-                key = toks[i]
-                if key.kind is not TokenKind.IDENT or key.text not in RULES:
-                    diags.append(diag(
-                        "PSY000", f"unknown lint rule {key.text!r}",
-                        key.span))
-                    i += 1
-                    continue
-                if i + 2 >= len(toks) or toks[i + 1].text != "=":
-                    diags.append(diag(
-                        "PSY000", f"expected '= severity' after "
-                        f"{key.text}", key.span))
-                    i += 1
-                    continue
-                value = toks[i + 2]
-                if value.text not in ("error", "warning", "info", "off"):
-                    diags.append(diag(
-                        "PSY000", f"invalid severity {value.text!r}; use "
-                        "error, warning, info, or off", value.span))
-                else:
-                    overrides[key.text] = value.text
-                i += 3
-            if i >= len(toks):
-                diags.append(diag("PSY000", "expected '}' to close the "
-                                  "lint block", tok.span))
-            i += 1
-        else:
+        if tok.kind is not TokenKind.IDENT or tok.text != "lint":
             diags.append(diag(
                 "PSY000", f"expected 'lint' block, found {tok.text!r}",
                 tok.span))
             break
+        if i + 1 >= len(toks) or toks[i + 1].text != "{":
+            diags.append(diag("PSY000", "expected '{' after 'lint'",
+                              tok.span))
+            break
+        i += 2
+        while i < len(toks) and toks[i].text != "}":
+            key = toks[i]
+            if key.kind is not TokenKind.IDENT or key.text not in RULES:
+                diags.append(diag("PSY000", f"unknown lint rule {key.text!r}",
+                                  key.span))
+                i += 1
+                continue
+            if i + 2 >= len(toks) or toks[i + 1].text != "=":
+                diags.append(diag(
+                    "PSY000", f"expected '= severity' after {key.text}",
+                    key.span))
+                i += 1
+                continue
+            value = toks[i + 2]
+            if key.text in overrides:
+                diags.append(diag(
+                    "PSY000", f"duplicate setting for {key.text}", key.span))
+            if error := _setting_error(key.text, value.text):
+                at = key if RULES[key.text].aborts else value
+                diags.append(diag("PSY000", error, at.span))
+            overrides[key.text] = value.text
+            i += 3
+        if i >= len(toks):
+            diags.append(diag("PSY000", "expected '}' to close the "
+                              "lint block", tok.span))
+        i += 1
     if any(d.severity is Severity.ERROR for d in diags):
         overrides = {}
     return LintConfig(overrides=overrides, strict=strict), diags

@@ -233,12 +233,6 @@ class ControlStructure:
     actions: tuple[ControlAction, ...] = ()
     feedbacks: tuple[FeedbackLink, ...] = ()
 
-    def entity(self, entity_id: str) -> Entity | None:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class Uca:

@@ -119,16 +119,8 @@ class CoverageRow:
         return ()
 
     @property
-    def covered_kinds(self) -> tuple[UcaKind, ...]:
-        return tuple(k for k, ids in self.by_kind if ids)
-
-    @property
-    def uncovered_kinds(self) -> tuple[UcaKind, ...]:
-        return tuple(k for k, ids in self.by_kind if not ids)
-
-    @property
     def uncovered(self) -> bool:
-        return not self.covered_kinds
+        return not any(ids for _, ids in self.by_kind)
 
 
 def uca_category_coverage(model: AnalysisModel) -> list[CoverageRow]:

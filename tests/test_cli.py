@@ -189,6 +189,15 @@ def test_config_discovery_next_to_first_input(tmp_path):
     assert "PSY003" not in proc.stderr
 
 
+def test_input_path_too_long_to_look_up_exits_2():
+    # Neither the input nor the psysafe.conf next to it can be looked up.
+    path = "a" * 300 + "/m.psy"
+    proc = psysafe("check", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"{path}:1:1: error[PSY000]: cannot read ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_config_exits_2(tmp_path):
     conf = tmp_path / "psysafe.conf"
     conf.write_text("lint { PSY099 = off }\n", encoding="utf-8")
@@ -295,3 +304,56 @@ def test_trace_directions_run(direction):
                    "--dir", direction)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "SG2 [goal]"
+
+
+def _assert_cannot_write(proc, command, stderr):
+    assert proc.returncode == 2
+    assert stderr.splitlines()[-1].startswith(
+        f"psysafe {command}: cannot write output: ")
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+
+
+def _env(unbuffered):
+    """This environment with Python's stdout buffered (the default) or
+    unbuffered, so that a failed write surfaces at the final flush or in
+    the write itself."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["psysil", "S1", "E1", "C1"],
+    ["fmt", *CORPUS_ARGS],
+    ["trace", *CORPUS_ARGS, "--from", "H3"],
+    ["check", "--coverage", *CORPUS_ARGS],
+    ["report", "--format", "json", *CORPUS_ARGS],
+], ids=lambda argv: argv[0])
+def test_output_to_a_full_device_exits_2(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "psysafe", *argv],
+                              stdout=full, stderr=subprocess.PIPE,
+                              text=True, cwd=REPO_ROOT, env=_env(unbuffered))
+    _assert_cannot_write(proc, argv[0], proc.stderr)
+
+
+def test_output_to_a_closed_pipe_exits_2(tmp_path):
+    # More output than a pipe buffers, so the write fails even if the
+    # command starts writing before the reader closes.
+    model = tmp_path / "big.psy"
+    model.write_text('analysis "big" { sae_level = 3 }\n' + "".join(
+        f'stakeholder SH{i} "Stakeholder {i}"\n' for i in range(4000)),
+        encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "psysafe", "fmt",
+                             str(model)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, cwd=REPO_ROOT,
+                            env=_env(unbuffered=False))
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    _assert_cannot_write(proc, "fmt", stderr)

@@ -97,6 +97,32 @@ def test_parse_config_invalid_severity_is_an_error():
     assert any("invalid severity" in d.message for d in diags)
 
 
+ABORTING_RULES = ("PSY000", "PSY011", "PSY013")
+
+
+@pytest.mark.parametrize("rule", ABORTING_RULES)
+def test_rules_that_abort_the_run_cannot_be_configured(rule):
+    message = f"lint rule {rule} cannot be configured; it aborts the run"
+    config, diags = parse_config(f"lint {{\n  {rule} = off\n}}\n")
+    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags] == [("PSY000", message, 2, 3)]
+    assert config.overrides == {}
+    with pytest.raises(ValueError, match=message):
+        LintConfig(overrides={rule: "warning"})
+
+
+@pytest.mark.parametrize("source", [
+    "lint { PSY007 = off\n  PSY007 = error }",
+    "lint { PSY007 = off } lint {\n  PSY007 = error }",
+], ids=["one-block", "two-blocks"])
+def test_a_rule_set_twice_is_an_error(source):
+    config, diags = parse_config(source)
+    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags] == [("PSY000", "duplicate setting for PSY007",
+                                 2, 3)]
+    assert config.overrides == {}
+
+
 def test_rule_catalog_is_stable():
     assert set(RULES) == {
         "PSY000", "PSY001", "PSY002", "PSY003", "PSY004", "PSY005",

@@ -78,7 +78,8 @@ def test_controller_without_process_model_is_psy009():
 
 
 def test_processes_do_not_need_process_models(corpus_model):
-    vehicle = corpus_model.structure.entity("VEH")
+    vehicle = next(e for e in corpus_model.structure.entities
+                   if e.id == "VEH")
     assert vehicle.process_model == ()
     assert validate_structure(corpus_model.structure,
                               corpus_model.spans) == []
@@ -115,7 +116,7 @@ def test_uncovered_actions_sort_first():
     rows = uca_category_coverage(model)
     assert [r.action for r in rows] == ["A0", "A1", "A2"]
     assert rows[0].uncovered
-    assert rows[0].uncovered_kinds == tuple(UcaKind)
+    assert all(rows[0].ucas_for(kind) == () for kind in UcaKind)
 
 
 def test_four_kind_fixture_fully_covers_one_action():
@@ -124,5 +125,4 @@ def test_four_kind_fixture_fully_covers_one_action():
         for i, kind in enumerate(UcaKind, start=2))
     model, _ = load_sources([("t.psy", text)])
     rows = {r.action: r for r in uca_category_coverage(model)}
-    assert rows["A2"].uncovered_kinds == ()
-    assert set(rows["A2"].covered_kinds) == set(UcaKind)
+    assert all(rows["A2"].ucas_for(kind) for kind in UcaKind)
