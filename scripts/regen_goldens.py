@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the golden outputs for the bundled corpus.
+"""Regenerate the golden outputs.
 
-Rewrites corpus/paper/golden/{report.json,report.md,diagnostics.txt} from
-the current fixture sources and tool version. Run from anywhere; paths are
-anchored at the repository root. Review the diff before committing.
+Rewrites report.json, report.md and diagnostics.txt for the bundled
+corpus (in corpus/paper/golden/) and for each edge model
+tests/golden/<name>/model.psy (next to the model), from the current
+sources and tool version. Run from anywhere; paths are anchored at the
+repository root. Review the diff before committing.
 """
 
 import os
@@ -19,13 +21,8 @@ from psysafe.loader import load_model  # noqa: E402
 from psysafe.report import build_report, emit_json, emit_markdown  # noqa: E402
 
 
-def main() -> None:
-    os.chdir(REPO_ROOT)
-    corpus = sorted(Path("corpus/paper").glob("*.psy"))
-    golden = Path("corpus/paper/golden")
-    golden.mkdir(exist_ok=True)
-
-    model, allows = load_model(corpus)
+def write_goldens(files: list[Path], golden: Path) -> None:
+    model, allows = load_model(files)
     config = LintConfig(allows=allows)
 
     report = build_report(model, config)
@@ -38,7 +35,16 @@ def main() -> None:
     (golden / "diagnostics.txt").write_text(listing, encoding="utf-8")
 
     for name in ("report.json", "report.md", "diagnostics.txt"):
-        print(f"wrote corpus/paper/golden/{name}")
+        print(f"wrote {golden / name}")
+
+
+def main() -> None:
+    os.chdir(REPO_ROOT)
+    golden = Path("corpus/paper/golden")
+    golden.mkdir(exist_ok=True)
+    write_goldens(sorted(Path("corpus/paper").glob("*.psy")), golden)
+    for model in sorted(Path("tests/golden").glob("*/model.psy")):
+        write_goldens([model], model.parent)
 
 
 if __name__ == "__main__":

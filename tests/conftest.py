@@ -9,6 +9,9 @@ from psysafe.loader import load_model
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus" / "paper"
 GOLDEN_DIR = CORPUS_DIR / "golden"
+#: Edge models the corpus does not reach, one directory each: the model
+#: and its goldens, written by scripts/regen_goldens.py.
+EDGE_GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 #: Settings of every hypothesis property that fuzzes an input surface:
 #: derandomized, so the suite stays repeatable.

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tests.conftest import GOLDEN_DIR, REPO_ROOT
+from tests.conftest import EDGE_GOLDEN_DIR, GOLDEN_DIR, REPO_ROOT
 
 CORPUS_ARGS = [str(p.relative_to(REPO_ROOT))
                for p in sorted((REPO_ROOT / "corpus" / "paper").glob("*.psy"))]
@@ -253,6 +253,20 @@ def test_report_md_matches_golden():
     golden = (GOLDEN_DIR / "report.md").read_text(encoding="utf-8")
     proc = psysafe("report", "--format", "md", *CORPUS_ARGS)
     assert proc.stdout == golden
+
+
+@pytest.mark.parametrize("name", ["header_only", "pipes"])
+def test_edge_model_outputs_match_goldens(name):
+    golden = EDGE_GOLDEN_DIR / name
+    model = str((golden / "model.psy").relative_to(REPO_ROOT))
+    check = psysafe("check", model)
+    assert check.stderr == (golden / "diagnostics.txt").read_text(
+        encoding="utf-8")
+    for fmt, file in (("json", "report.json"), ("md", "report.md")):
+        proc = psysafe("report", "--format", fmt, model)
+        assert proc.stdout == (golden / file).read_text(encoding="utf-8")
+        assert proc.stderr == check.stderr
+        assert proc.returncode == check.returncode
 
 
 def test_report_requires_format():

@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 from psysafe.cli import run
 from psysafe.printer import print_canonical
 
-from tests.conftest import GOLDEN_DIR
+from tests.conftest import EDGE_GOLDEN_DIR, GOLDEN_DIR
 from tests.modelgen import random_model
 
 IDS = {"type": "array", "items": {"type": "string"}, "uniqueItems": True}
@@ -102,6 +102,12 @@ def test_schema_is_valid_and_rejects_a_broken_report():
 def test_corpus_report_matches_schema(capsys, corpus_files):
     check_report(report_json(capsys, *map(str, corpus_files)))
     check_report((GOLDEN_DIR / "report.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", ["header_only", "pipes"])
+def test_edge_goldens_match_schema(name):
+    check_report((EDGE_GOLDEN_DIR / name / "report.json").read_text(
+        encoding="utf-8"))
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
