@@ -1,11 +1,13 @@
 """Deterministic JSON and Markdown reports over a resolved model.
 
-Both formats render the same underlying data: inventory counts, PsySIL
-summary, the three traceability matrices (goal x hazard, hazard x loss,
-UCA x hazard), UCA kind coverage, and the diagnostics of a full check
-run. Output is a pure function of (model, config, tool version): arrays
-sort by entity ID, keys have a fixed order, there are no timestamps, and
-file names are relativized, so repeated runs are byte-identical.
+:func:`build_report` builds the report document once, keys in the order
+of ``docs/report-schema.md``: inventory counts, PsySIL summary, the three
+traceability matrices, UCA kind coverage, and the diagnostics of a full
+check run. The JSON report is that document; the Markdown report renders
+it, plus what the JSON does not carry: the loss, hazard and goal
+descriptions and the loss scenarios. Output is a pure function of (model,
+config, tool version): arrays sort by entity ID, there are no timestamps,
+and file names are relativized, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,24 +21,29 @@ from .diagnostics import Diagnostic
 from .lints import LintConfig, analyze
 from .model import AnalysisModel, UcaKind
 from .psysil import determine_psysil, goal_psysil
-from .structure import CoverageRow, uca_category_coverage
+from .structure import uca_category_coverage
 
 SCHEMA_VERSION = "1"
+
+#: The traceability matrices: the document key; the declarations whose
+#: IDs are the rows and the reference field that gives each row's cells;
+#: the Markdown heading, whose left side names the row column, and the
+#: name of the cell column.
+_MATRICES = (
+    ("goal_hazard", "goals", "prevents", "Goal x Hazard", "Hazards"),
+    ("hazard_loss", "hazards", "leads_to", "Hazard x Loss", "Losses"),
+    ("uca_hazard", "ucas", "hazards", "UCA x Hazard", "Hazards"),
+)
+
+#: The Markdown PsySIL columns of a hazard without an assessment.
+_UNASSESSED = {"severity": "-", "exposure": "-", "controllability": "-",
+               "level": "unassessed"}
 
 
 @dataclass
 class Report:
-    title: str
-    sae_level: int
-    boundary: str | None
-    tool_version: str
-    inventory: dict[str, int]
-    hazard_psysil: list[dict]
-    goal_psysil: list[dict]
-    goal_hazard: dict[str, list[str]]
-    hazard_loss: dict[str, list[str]]
-    uca_hazard: dict[str, list[str]]
-    coverage: list[CoverageRow]
+    #: The JSON document, keys in the documented order.
+    document: dict
     diagnostics: list[Diagnostic]
     model: AnalysisModel = field(repr=False)
 
@@ -51,7 +58,7 @@ def _relativize(path: str) -> str:
 
 def build_report(model: AnalysisModel,
                  config: LintConfig | None = None) -> Report:
-    """Assemble report data; runs structure validation and all lints."""
+    """Build the report document; runs structure validation and all lints."""
     inventory = {
         "stakeholders": len(model.stakeholders),
         "stakes": len(model.stakes),
@@ -90,48 +97,25 @@ def build_report(model: AnalysisModel,
             "level": level.name if level is not None else "unassessed",
         })
 
-    return Report(
-        title=model.title,
-        sae_level=model.sae_level,
-        boundary=model.boundary,
-        tool_version=__version__,
-        inventory=inventory,
-        hazard_psysil=hazard_psysil,
-        goal_psysil=goals_psysil,
-        goal_hazard={g.id: sorted(g.prevents)
-                     for g in sorted(model.goals, key=lambda g: g.id)},
-        hazard_loss={h.id: sorted(h.leads_to)
-                     for h in sorted(model.hazards, key=lambda h: h.id)},
-        uca_hazard={u.id: sorted(u.hazards)
-                    for u in sorted(model.ucas, key=lambda u: u.id)},
-        coverage=uca_category_coverage(model),
-        diagnostics=analyze(model, config),
-        model=model,
-    )
+    matrices = {}
+    for key, collection, attr, _, _ in _MATRICES:
+        decls = sorted(getattr(model, collection), key=lambda d: d.id)
+        matrices[key] = {d.id: sorted(getattr(d, attr)) for d in decls}
 
-
-def emit_json(report: Report) -> str:
-    """UTF-8 JSON with documented key order; see docs/report-schema.md."""
-    doc = {
+    diagnostics = analyze(model, config)
+    document = {
         "schema": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
-        "title": report.title,
-        "sae_level": report.sae_level,
-        "boundary": report.boundary,
-        "inventory": report.inventory,
-        "psysil": {
-            "hazards": report.hazard_psysil,
-            "goals": report.goal_psysil,
-        },
-        "matrices": {
-            "goal_hazard": report.goal_hazard,
-            "hazard_loss": report.hazard_loss,
-            "uca_hazard": report.uca_hazard,
-        },
+        "tool_version": __version__,
+        "title": model.title,
+        "sae_level": model.sae_level,
+        "boundary": model.boundary,
+        "inventory": inventory,
+        "psysil": {"hazards": hazard_psysil, "goals": goals_psysil},
+        "matrices": matrices,
         "uca_coverage": [
             {"action": row.action,
              **{kind.value: list(row.ucas_for(kind)) for kind in UcaKind}}
-            for row in report.coverage
+            for row in uca_category_coverage(model)
         ],
         "diagnostics": [
             {"file": _relativize(d.span.file),
@@ -141,10 +125,15 @@ def emit_json(report: Report) -> str:
              "rule": d.rule,
              "message": d.message,
              "related": list(d.related)}
-            for d in report.diagnostics
+            for d in diagnostics
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return Report(document, diagnostics, model)
+
+
+def emit_json(report: Report) -> str:
+    """UTF-8 JSON with documented key order; see docs/report-schema.md."""
+    return json.dumps(report.document, indent=2, ensure_ascii=False) + "\n"
 
 
 def _cell(text: str) -> str:
@@ -159,121 +148,83 @@ def _table(header: list[str], rows: list[list[str]],
         out.append("| " + " | ".join(_cell(c) for c in row) + " |")
 
 
+def _section(out: list[str], title: str, header: list[str],
+             rows: list[list[str]], empty: str | None,
+             note: str | None = None) -> None:
+    """A heading, then an optional note, then the table, or ``empty`` in
+    its place when there are no rows (``None``: an empty table)."""
+    out.extend(["", title, ""])
+    if note is not None:
+        out.extend([note, ""])
+    if rows or empty is None:
+        _table(header, rows, out)
+    else:
+        out.append(empty)
+
+
 def emit_markdown(report: Report) -> str:
     """GitHub-flavored Markdown report with a fixed section order."""
+    doc = report.document
     model = report.model
-    out: list[str] = []
-    out.append(f"# Psychological safety report: {_cell(report.title)}")
-    out.append("")
-    out.append("## Overview")
-    out.append("")
-    out.append(f"- SAE level: {report.sae_level}")
-    if report.boundary is not None:
-        out.append(f"- System boundary: {report.boundary}")
-    out.append(f"- Tool version: {report.tool_version}")
+    matrices = doc["matrices"]
+    out = [f"# Psychological safety report: {_cell(doc['title'])}", "",
+           "## Overview", "", f"- SAE level: {doc['sae_level']}"]
+    if doc["boundary"] is not None:
+        out.append(f"- System boundary: {doc['boundary']}")
+    out.append(f"- Tool version: {doc['tool_version']}")
     out.append("")
     _table(["Kind", "Count"],
-           [[kind, str(count)] for kind, count in report.inventory.items()],
+           [[kind, str(count)] for kind, count in doc["inventory"].items()],
            out)
 
-    out.append("")
-    out.append("## Losses")
-    out.append("")
-    if model.losses:
-        _table(["ID", "Description", "Violates"],
-               [[l.id, l.description, ", ".join(sorted(l.violates))]
-                for l in model.losses], out)
-    else:
-        out.append("No losses declared.")
+    _section(out, "## Losses", ["ID", "Description", "Violates"],
+             [[l.id, l.description, ", ".join(sorted(l.violates))]
+              for l in model.losses],
+             "No losses declared.")
 
-    out.append("")
-    out.append("## Hazards & PsySIL")
-    out.append("")
-    if model.hazards:
-        rows = []
-        for h in model.hazards:
-            a = model.assessments.get(h.id)
-            if a is None:
-                sev = exp = ctr = "-"
-                level = "unassessed"
-            else:
-                sev, exp, ctr = (a.severity.name, a.exposure.name,
-                                 a.controllability.name)
-                level = determine_psysil(a.severity, a.exposure,
-                                         a.controllability).name
-            rows.append([h.id, h.description, ", ".join(sorted(h.leads_to)),
-                         sev, exp, ctr, level])
-        _table(["ID", "Description", "Leads to", "S", "E", "C", "PsySIL"],
-               rows, out)
-    else:
-        out.append("No hazards declared.")
+    assessed = {e["hazard"]: e for e in doc["psysil"]["hazards"]}
+    hazard_rows = []
+    for h in model.hazards:
+        entry = assessed.get(h.id, _UNASSESSED)
+        hazard_rows.append([h.id, h.description,
+                            ", ".join(matrices["hazard_loss"][h.id]),
+                            entry["severity"], entry["exposure"],
+                            entry["controllability"], entry["level"]])
+    _section(out, "## Hazards & PsySIL",
+             ["ID", "Description", "Leads to", "S", "E", "C", "PsySIL"],
+             hazard_rows, "No hazards declared.")
 
-    out.append("")
-    out.append("## Goals")
-    out.append("")
-    if model.goals:
-        levels = {entry["goal"]: entry["level"]
-                  for entry in report.goal_psysil}
-        _table(["ID", "Description", "Prevents", "PsySIL"],
-               [[g.id, g.description, ", ".join(sorted(g.prevents)),
-                 levels[g.id]] for g in model.goals], out)
-    else:
-        out.append("No goals declared.")
+    levels = {e["goal"]: e["level"] for e in doc["psysil"]["goals"]}
+    _section(out, "## Goals", ["ID", "Description", "Prevents", "PsySIL"],
+             [[g.id, g.description, ", ".join(matrices["goal_hazard"][g.id]),
+               levels[g.id]] for g in model.goals],
+             "No goals declared.")
 
-    out.append("")
-    out.append("## Traceability")
-    out.append("")
-    out.append("### Goal x Hazard")
-    out.append("")
-    _table(["Goal", "Hazards"],
-           [[g, ", ".join(hs)] for g, hs in report.goal_hazard.items()],
-           out)
-    out.append("")
-    out.append("### Hazard x Loss")
-    out.append("")
-    _table(["Hazard", "Losses"],
-           [[h, ", ".join(ls)] for h, ls in report.hazard_loss.items()],
-           out)
-    out.append("")
-    out.append("### UCA x Hazard")
-    out.append("")
-    _table(["UCA", "Hazards"],
-           [[u, ", ".join(hs)] for u, hs in report.uca_hazard.items()],
-           out)
+    out.extend(["", "## Traceability"])
+    for key, _, _, heading, column in _MATRICES:
+        header = [heading.split(" x ")[0], column]
+        rows = [[r, ", ".join(cells)] for r, cells in matrices[key].items()]
+        _section(out, f"### {heading}", header, rows, None)
 
-    out.append("")
-    out.append("## UCA Coverage")
-    out.append("")
-    if not model.ucas:
-        out.append("No UCAs declared; all control actions are uncovered.")
-        out.append("")
-    if report.coverage:
-        _table(["Action"] + [kind.value for kind in UcaKind],
-               [[row.action] + [", ".join(row.ucas_for(kind)) or "-"
-                                for kind in UcaKind]
-                for row in report.coverage], out)
-    else:
-        out.append("No control actions declared.")
+    no_ucas = "No UCAs declared; all control actions are uncovered."
+    _section(out, "## UCA Coverage",
+             ["Action"] + [kind.value for kind in UcaKind],
+             [[row["action"]] + [", ".join(row[kind.value]) or "-"
+                                 for kind in UcaKind]
+              for row in doc["uca_coverage"]],
+             "No control actions declared.",
+             note=None if doc["inventory"]["ucas"] else no_ucas)
 
-    out.append("")
-    out.append("## Scenarios")
-    out.append("")
-    if model.scenarios:
-        _table(["ID", "For", "Type", "Factor", "Description"],
-               [[s.id, s.for_ref, s.scenario_type.value, s.factor.value,
-                 s.description] for s in model.scenarios], out)
-    else:
-        out.append("No loss scenarios declared.")
+    _section(out, "## Scenarios", ["ID", "For", "Type", "Factor",
+                                   "Description"],
+             [[s.id, s.for_ref, s.scenario_type.value, s.factor.value,
+               s.description] for s in model.scenarios],
+             "No loss scenarios declared.")
 
-    out.append("")
-    out.append("## Diagnostics")
-    out.append("")
-    if report.diagnostics:
-        _table(["Location", "Severity", "Rule", "Message"],
-               [[f"{_relativize(d.span.file)}:{d.span.start_line}:"
-                 f"{d.span.start_col}", d.severity.value, d.rule, d.message]
-                for d in report.diagnostics], out)
-    else:
-        out.append("No findings.")
+    _section(out, "## Diagnostics", ["Location", "Severity", "Rule",
+                                     "Message"],
+             [[f"{d['file']}:{d['line']}:{d['col']}", d["severity"],
+               d["rule"], d["message"]] for d in doc["diagnostics"]],
+             "No findings.")
 
     return "\n".join(out) + "\n"
