@@ -53,6 +53,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse ignores a failed write; let run() report it instead.
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _use_color() -> bool:
     return sys.stderr.isatty() and not os.environ.get("NO_COLOR")
@@ -72,8 +77,7 @@ def _findings_exit(diags: Sequence[Diagnostic], strict: bool) -> int:
     return EX_OK
 
 
-def _load_config(files: Sequence[str], explicit: str | None,
-                 strict: bool) -> LintConfig:
+def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
     """Read the lint config: --config wins, else a psysafe.conf next to
     the first input file; defaults otherwise."""
     if explicit is not None:
@@ -81,7 +85,7 @@ def _load_config(files: Sequence[str], explicit: str | None,
     else:
         candidate = Path(files[0]).parent / "psysafe.conf" if files else None
         if candidate is None or not os.path.isfile(candidate):
-            return LintConfig(strict=strict)
+            return LintConfig()
         path = candidate
     try:
         text = path.read_text(encoding="utf-8")
@@ -89,7 +93,7 @@ def _load_config(files: Sequence[str], explicit: str | None,
         raise DiagnosticError([diag(
             "PSY000", f"cannot read config file: {exc}",
             SourceSpan(str(path), 1, 1, 1, 1))]) from exc
-    config, diags = parse_config(text, str(path), strict=strict)
+    config, diags = parse_config(text, str(path))
     if any(d.severity is Severity.ERROR for d in diags):
         raise DiagnosticError(diags)
     return config
@@ -111,7 +115,7 @@ def _format_coverage(model: AnalysisModel) -> str:
 
 
 def cmd_check(args) -> int:
-    config = _load_config(args.files, args.config, args.strict)
+    config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
     diags = analyze(model, dataclasses.replace(config, allows=allows))
     _print_diagnostics(diags)
@@ -135,7 +139,7 @@ def cmd_psysil(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args.files, args.config, False)
+    config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
     report = build_report(model, dataclasses.replace(config, allows=allows))
     text = emit_json(report) if args.format == "json" \
@@ -227,31 +231,52 @@ def build_arg_parser() -> _ArgumentParser:
     return parser
 
 
+def _silence(stream) -> None:
+    """Point a stream that cannot be written at the null device, so the
+    interpreter's flush at exit does not fail again."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _cannot_write(prog: str, exc: OSError) -> int:
+    try:
+        sys.stdout.flush()
+    except OSError:
+        _silence(sys.stdout)
+    try:
+        print(f"{prog}: cannot write output: {exc.strerror}",
+              file=sys.stderr)
+    except OSError:
+        _silence(sys.stderr)
+    return EX_DATA
+
+
 def run(argv: Sequence[str]) -> int:
     """Entry point returning the process exit code.
 
     A command that cannot read, parse or resolve its input raises
-    :class:`DiagnosticError`; its findings are printed here, exit 2.
+    :class:`DiagnosticError`; its findings are printed here, exit 2. So
+    does a run whose stdout or stderr cannot be written, --help and
+    --version included.
     """
     parser = build_arg_parser()
+    prog = parser.prog
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(list(argv))
+            prog = f"{parser.prog} {args.command}"
+            code = args.func(args)
+        except SystemExit as exc:  # --help, --version or a usage error
+            code = exc.code if isinstance(exc.code, int) else EX_USAGE
+        except DiagnosticError as err:
+            _print_diagnostics(err.diagnostics)
+            code = EX_DATA
+        # Flush here, so that a failed write is reported, not lost at exit.
         sys.stdout.flush()
+        sys.stderr.flush()
         return code
-    except DiagnosticError as err:
-        _print_diagnostics(err.diagnostics)
-        return EX_DATA
-    except OSError as exc:  # commands catch read errors: stdout failed
-        # Point stdout at the null device, or the flush at exit fails too.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"psysafe {args.command}: cannot write output: "
-              f"{exc.strerror}", file=sys.stderr)
-        return EX_DATA
+    except OSError as exc:  # commands catch read errors: an output failed
+        return _cannot_write(prog, exc)
 
 
 def main() -> None:

@@ -58,7 +58,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ALLOW_RE = re.compile(r"^\s*psysafe-allow\b(.*)$")
-_RULE_RE = re.compile(r"PSY\d{3}")
+#: The shape of a rule ID.
+RULE_ID_RE = re.compile(r"PSY[0-9]{3}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,6 @@ def _record_allow(res: LexResult, comment: str, line: int) -> None:
     m = _ALLOW_RE.match(comment)
     if not m:
         return
-    rules = frozenset(_RULE_RE.findall(m.group(1)))
+    rules = frozenset(RULE_ID_RE.findall(m.group(1)))
     if rules:
         res.allows[line] = res.allows.get(line, frozenset()) | rules

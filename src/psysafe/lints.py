@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
-from .lexer import TokenKind, tokenize
+from .lexer import RULE_ID_RE, TokenKind, tokenize
 from .model import (DECLS, AnalysisModel, EntityKind, Hazard, Loss,
                     LossScenario, Responsibility, RiskAssessment, SafetyGoal,
                     Uca)
@@ -36,7 +36,7 @@ def _setting_error(rule_id: str, value: str) -> str | None:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Severity overrides, strict mode, and per-line suppressions.
+    """Severity overrides and per-line suppressions.
 
     ``overrides`` maps rule IDs to ``error``/``warning``/``info``/``off``;
     ``allows`` maps ``(file, line)`` to the rule IDs suppressed on that
@@ -44,6 +44,8 @@ class LintConfig:
     """
 
     overrides: Mapping[str, str] = field(default_factory=dict)
+    #: Read by nothing in psysafe (``check --strict`` sets the exit
+    #: code); kept while perfbench/replay.py still sets it.
     strict: bool = False
     allows: Mapping[tuple[str, int], frozenset[str]] = \
         field(default_factory=dict)
@@ -139,13 +141,23 @@ def analyze(model: AnalysisModel,
     return sort_diagnostics(diags + run_lints(model, config))
 
 
-def parse_config(source: str, file: str = "psysafe.conf",
-                 strict: bool = False) -> tuple[LintConfig, list[Diagnostic]]:
+def _next_setting(toks: list, i: int) -> int:
+    """Where reading resumes after a broken setting: the index of the
+    next ``PSYnnn``-shaped identifier or ``}`` from ``i``."""
+    while i < len(toks) and toks[i].text != "}" and not (
+            toks[i].kind is TokenKind.IDENT
+            and RULE_ID_RE.fullmatch(toks[i].text)):
+        i += 1
+    return i
+
+
+def parse_config(source: str, file: str = "psysafe.conf"
+                 ) -> tuple[LintConfig, list[Diagnostic]]:
     """Parse a ``lint { PSYnnn = severity ... }`` configuration file.
 
     Unknown rules, rules that abort the run, invalid severities and a
-    rule set twice are reported as PSY000 errors; on any error the
-    returned config carries no overrides.
+    rule set twice are reported as PSY000 errors, one per broken
+    setting; on any error the returned config carries no overrides.
     """
     lex = tokenize(source, file)
     diags = list(lex.diagnostics)
@@ -169,13 +181,14 @@ def parse_config(source: str, file: str = "psysafe.conf",
             if key.kind is not TokenKind.IDENT or key.text not in RULES:
                 diags.append(diag("PSY000", f"unknown lint rule {key.text!r}",
                                   key.span))
-                i += 1
+                i = _next_setting(toks, i + 1)
                 continue
-            if i + 2 >= len(toks) or toks[i + 1].text != "=":
+            if (i + 2 >= len(toks) or toks[i + 1].text != "="
+                    or toks[i + 2].text == "}"):
                 diags.append(diag(
                     "PSY000", f"expected '= severity' after {key.text}",
                     key.span))
-                i += 1
+                i = _next_setting(toks, i + 1)
                 continue
             value = toks[i + 2]
             if key.text in overrides:
@@ -192,4 +205,4 @@ def parse_config(source: str, file: str = "psysafe.conf",
         i += 1
     if any(d.severity is Severity.ERROR for d in diags):
         overrides = {}
-    return LintConfig(overrides=overrides, strict=strict), diags
+    return LintConfig(overrides=overrides), diags

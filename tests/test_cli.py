@@ -321,9 +321,12 @@ def test_trace_directions_run(direction):
 
 
 def _assert_cannot_write(proc, command, stderr):
+    """Exit 2 with one line naming the command, or plain ``psysafe``
+    when the arguments hold no command (``--help``, ``--version``)."""
+    prog = "psysafe" if command.startswith("-") else f"psysafe {command}"
     assert proc.returncode == 2
     assert stderr.splitlines()[-1].startswith(
-        f"psysafe {command}: cannot write output: ")
+        f"{prog}: cannot write output: ")
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
 
@@ -341,6 +344,8 @@ def _env(unbuffered):
 @pytest.mark.parametrize("unbuffered", [False, True],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["--help"],
     ["psysil", "S1", "E1", "C1"],
     ["fmt", *CORPUS_ARGS],
     ["trace", *CORPUS_ARGS, "--from", "H3"],
@@ -353,6 +358,21 @@ def test_output_to_a_full_device_exits_2(argv, unbuffered):
                               stdout=full, stderr=subprocess.PIPE,
                               text=True, cwd=REPO_ROOT, env=_env(unbuffered))
     _assert_cannot_write(proc, argv[0], proc.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_diagnostics_to_a_full_device_exit_2(unbuffered):
+    # The corpus has six warnings, so exit 0 would be due.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "psysafe", "check",
+                               *CORPUS_ARGS],
+                              stdout=subprocess.PIPE, stderr=full,
+                              text=True, cwd=REPO_ROOT, env=_env(unbuffered))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_output_to_a_closed_pipe_exits_2(tmp_path):

@@ -86,9 +86,33 @@ def test_parse_config_happy_path():
     assert config.overrides == {"PSY007": "off", "PSY005": "error"}
 
 
+def _findings(diags):
+    return [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags]
+
+
 def test_parse_config_unknown_rule_is_an_error():
     config, diags = parse_config("lint { PSY099 = off }")
-    assert any("unknown lint rule" in d.message for d in diags)
+    assert _findings(diags) == [
+        ("PSY000", "unknown lint rule 'PSY099'", 1, 8)]
+    assert config.overrides == {}
+
+
+@pytest.mark.parametrize("source, finding", [
+    ("lint { PSY005 error }",
+     ("PSY000", "expected '= severity' after PSY005", 1, 8)),
+    ("lint { PSY005 = }",
+     ("PSY000", "expected '= severity' after PSY005", 1, 8)),
+    ("lint { bogus = off PSY005 = error }",
+     ("PSY000", "unknown lint rule 'bogus'", 1, 8)),
+    ("lint { PSY007 = off PSY099 = off PSY005 = error }",
+     ("PSY000", "unknown lint rule 'PSY099'", 1, 21)),
+], ids=["missing-equals", "missing-severity", "bogus-key", "unknown-rule"])
+def test_a_broken_setting_is_one_finding(source, finding):
+    """Reading resumes at the next rule ID or ``}``, so the rest of a
+    broken setting is not reported again."""
+    config, diags = parse_config(source)
+    assert _findings(diags) == [finding]
     assert config.overrides == {}
 
 
@@ -104,8 +128,7 @@ ABORTING_RULES = ("PSY000", "PSY011", "PSY013")
 def test_rules_that_abort_the_run_cannot_be_configured(rule):
     message = f"lint rule {rule} cannot be configured; it aborts the run"
     config, diags = parse_config(f"lint {{\n  {rule} = off\n}}\n")
-    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
-            for d in diags] == [("PSY000", message, 2, 3)]
+    assert _findings(diags) == [("PSY000", message, 2, 3)]
     assert config.overrides == {}
     with pytest.raises(ValueError, match=message):
         LintConfig(overrides={rule: "warning"})
@@ -117,9 +140,8 @@ def test_rules_that_abort_the_run_cannot_be_configured(rule):
 ], ids=["one-block", "two-blocks"])
 def test_a_rule_set_twice_is_an_error(source):
     config, diags = parse_config(source)
-    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
-            for d in diags] == [("PSY000", "duplicate setting for PSY007",
-                                 2, 3)]
+    assert _findings(diags) == [
+        ("PSY000", "duplicate setting for PSY007", 2, 3)]
     assert config.overrides == {}
 
 
