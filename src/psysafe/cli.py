@@ -239,6 +239,7 @@ def _silence(stream) -> None:
 
 
 def _cannot_write(prog: str, exc: OSError) -> int:
+    """Report a failed write, on stderr if that still works; exit 2."""
     try:
         sys.stdout.flush()
     except OSError:

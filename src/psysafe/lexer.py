@@ -59,7 +59,7 @@ _TOKEN_RE = re.compile(r"""
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ALLOW_RE = re.compile(r"^\s*psysafe-allow\b(.*)$")
 #: The shape of a rule ID.
-RULE_ID_RE = re.compile(r"PSY[0-9]{3}")
+RULE_ID_RE = re.compile(r"PSY\d{3}")
 
 
 @dataclass(frozen=True)
