@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench bench-record bench-smoke loc
+.PHONY: test acceptance regen-goldens bench bench-record bench-smoke loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -38,3 +38,10 @@ bench-smoke:
 
 loc:
 	@wc -l src/psysafe/*.py | tail -n 1
+
+# The checks every change reports, in the order it reports them: the
+# tier-1 tests of ROADMAP.md, the benchmark smoke test, the src/ line count.
+verify:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	@$(MAKE) --no-print-directory bench-smoke
+	@$(MAKE) --no-print-directory loc

@@ -1,10 +1,12 @@
 """Lexer for the ``.psy`` model language.
 
-Produces a flat token stream with exact source spans. Comments start with
-``#`` and run to the end of the line; ``# psysafe-allow PSYnnn`` comments
-are collected separately so lint suppression can be keyed to the line they
-appear on. Strings are double-quoted with ``\\"`` and ``\\\\`` escapes and
-may not span lines.
+Produces a flat token stream. Each token carries its file, line and
+column (1-based, in code points); its exact :class:`SourceSpan` is built on
+demand by :attr:`Token.span`, since only diagnostics and declaration spans
+ask for one. Comments start with ``#`` and run to the end of the line;
+``# psysafe-allow PSYnnn`` comments are collected separately so lint
+suppression can be keyed to the line they appear on. Strings are
+double-quoted with ``\\"`` and ``\\\\`` escapes and may not span lines.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
 from .model import DECLS, Form, spelling
@@ -24,6 +27,11 @@ class TokenKind(enum.Enum):
     INT = "integer"
     PUNCT = "punct"
 
+
+#: Aliases that spare the hot loop of :func:`tokenize` the enum lookups.
+_KEYWORD, _IDENT, _STRING, _INT, _PUNCT = (
+    TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.STRING, TokenKind.INT,
+    TokenKind.PUNCT)
 
 #: Reserved words: every keyword and keyword-spelled enum value of the
 #: declaration table, plus the words of the ``analysis`` header and the
@@ -57,18 +65,27 @@ _TOKEN_RE = re.compile(r"""
   | (?P<illegal> . )
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
-_ALLOW_RE = re.compile(r"^\s*psysafe-allow\b(.*)$")
-#: The shape of a rule ID.
-RULE_ID_RE = re.compile(r"PSY\d{3}")
+#: A whole allow comment: ``psysafe-allow``, then nothing, or whitespace
+#: and the rule IDs.
+_ALLOW_RE = re.compile(r"\s*psysafe-allow(|\s.*)")
+#: The shape of a rule ID: ``PSY`` and three ASCII digits, a whole word.
+RULE_ID_RE = re.compile(r"\bPSY[0-9]{3}\b")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
-    span: SourceSpan
     #: Decoded payload: unescaped string value or parsed integer.
-    value: object = None
+    value: object
+    file: str
+    line: int
+    #: 1-based, in code points.
+    col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        """The token's source span, built on demand."""
+        return _span(self.file, self.line, self.col, self.text)
 
 
 @dataclass
@@ -87,38 +104,38 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
     line. The token list never contains an EOF sentinel.
     """
     res = LexResult()
+    append = res.tokens.append
     line = 1
     # Offset of the current line's first column; a leading BOM takes none.
     line_start = 1 if source.startswith("\ufeff") else 0
     for m in _TOKEN_RE.finditer(source, line_start):
         kind = m.lastgroup
+        if kind == "blank":
+            continue
         if kind == "newline":
             line += 1
             line_start = m.end()
             continue
-        if kind == "blank":
-            continue
         text = m.group()
         col = m.start() - line_start + 1
-        span = SourceSpan(file, line, col, line, col + len(text))
         if kind == "ident":
-            res.tokens.append(Token(
-                TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
-                text, span, text))
+            append(Token(_KEYWORD if text in KEYWORDS else _IDENT, text,
+                         text, file, line, col))
         elif kind == "punct":
-            res.tokens.append(Token(TokenKind.PUNCT, text, span))
+            append(Token(_PUNCT, text, None, file, line, col))
         elif kind == "int":
             try:
-                res.tokens.append(Token(TokenKind.INT, text, span, int(text)))
+                append(Token(_INT, text, int(text), file, line, col))
             except ValueError:  # beyond the interpreter's int-string limit
                 res.diagnostics.append(diag(
                     "PSY000", f"integer literal too long ({len(text)} "
-                    "digits)", span))
+                    "digits)", _span(file, line, col, text)))
         elif kind == "comment":
             _record_allow(res, m.group(kind), line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
-                "PSY000", f"illegal character {text!r}", span))
+                "PSY000", f"illegal character {text!r}",
+                _span(file, line, col, text)))
         else:  # a string, closed or not
             value = m.group("string")
             if "\\" in value:
@@ -135,14 +152,19 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
             if m.group("closed") is None:
                 # Unterminated: the match ran to the end of the line.
                 res.diagnostics.append(diag(
-                    "PSY000", "unterminated string literal", span))
+                    "PSY000", "unterminated string literal",
+                    _span(file, line, col, text)))
             else:
-                res.tokens.append(Token(TokenKind.STRING, text, span, value))
+                append(Token(_STRING, text, value, file, line, col))
     return res
 
 
+def _span(file: str, line: int, col: int, text: str) -> SourceSpan:
+    return SourceSpan(file, line, col, line, col + len(text))
+
+
 def _record_allow(res: LexResult, comment: str, line: int) -> None:
-    m = _ALLOW_RE.match(comment)
+    m = _ALLOW_RE.fullmatch(comment)
     if not m:
         return
     rules = frozenset(RULE_ID_RE.findall(m.group(1)))

@@ -72,9 +72,9 @@ class _Parser:
 
     def _end_span(self) -> SourceSpan:
         if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(self.file, last.end_line, last.end_col,
-                              last.end_line, last.end_col)
+            last = self.tokens[-1]
+            end = last.col + len(last.text)
+            return SourceSpan(self.file, last.line, end, last.line, end)
         return SourceSpan(self.file, 1, 1, 1, 1)
 
     def fail(self, message: str, span: SourceSpan | None = None):
@@ -121,9 +121,9 @@ class _Parser:
         return frozenset(ids)
 
     def decl_span(self, start: Token) -> SourceSpan:
-        prev = self.tokens[self.pos - 1].span
-        return SourceSpan(self.file, start.span.start_line,
-                          start.span.start_col, prev.end_line, prev.end_col)
+        prev = self.tokens[self.pos - 1]
+        return SourceSpan(self.file, start.line, start.col, prev.line,
+                          prev.col + len(prev.text))
 
     # -- declarations -----------------------------------------------------
 

@@ -100,6 +100,33 @@ def test_comments_skipped_and_allow_collected():
     assert res.tokens[-1].span == SourceSpan("<input>", 5, 1, 5, 6)
 
 
+@pytest.mark.parametrize("comment", [
+    "# psysafe-allow PSY0011",
+    "# psysafe-allow XPSY001",
+    "# psysafe-allow PSY001x",
+    "# psysafe-allow PSY001_",
+    "# psysafe-allow-all PSY001",
+    "# psysafe-allow.PSY001",
+    "# psysafe-allowPSY001",
+    "# psysafe-allow PSY\u0660\u0660\u0661",
+    "# psysafe-allow PSY001\u0661",
+    "# psysafe-allow",
+])
+def test_allow_comment_names_rules_exactly(comment):
+    assert tokenize(f"loss L1 {comment}").allows == {}
+
+
+@pytest.mark.parametrize("comment,rules", [
+    ("#psysafe-allow PSY001", {"PSY001"}),
+    ("# psysafe-allow\tPSY001", {"PSY001"}),
+    ("# psysafe-allow PSY001,PSY004", {"PSY001", "PSY004"}),
+    ("# psysafe-allow PSY001 PSY004.", {"PSY001", "PSY004"}),
+    ("# psysafe-allow (PSY001) PSY0041", {"PSY001"}),
+])
+def test_allow_comment_rule_lists(comment, rules):
+    assert tokenize(f"loss L1 {comment}").allows == {1: frozenset(rules)}
+
+
 def test_hash_inside_string_is_not_a_comment():
     res = tokenize('"see # psysafe-allow PSY001 inside"')
     assert res.allows == {}
@@ -175,6 +202,8 @@ def test_spans_lie_on_one_line_of_the_source(text):
     res = tokenize(text)
     for tok in res.tokens:
         span = tok.span
+        assert span == SourceSpan("<input>", tok.line, tok.col, tok.line,
+                                  tok.col + len(tok.text))
         assert span.start_line == span.end_line
         line = lines[span.start_line - 1]
         assert line[span.start_col - 1:span.end_col - 1] == tok.text
@@ -183,6 +212,18 @@ def test_spans_lie_on_one_line_of_the_source(text):
         assert span.start_line == span.end_line
         assert 1 <= span.start_col < span.end_col \
             <= len(lines[span.start_line - 1]) + 1
+
+
+def test_token_is_immutable_and_hashable():
+    tok = tokenize('hazard "h"', "f.psy").tokens[1]
+    assert tok == Token(TokenKind.STRING, '"h"', "h", "f.psy", 1, 8)
+    assert tok.span == SourceSpan("f.psy", 1, 8, 1, 11)
+    with pytest.raises(AttributeError):
+        tok.line = 2
+    with pytest.raises(AttributeError):
+        tok.span = SourceSpan("f.psy", 2, 1, 2, 4)
+    assert hash(tok) == hash(Token(TokenKind.STRING, '"h"', "h", "f.psy",
+                                   1, 8))
 
 
 @given(st.text(alphabet=st.characters(blacklist_characters="\n\r",
