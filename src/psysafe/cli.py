@@ -25,20 +25,16 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+# Commands import the modules they run: start-up loads only these.
 from .diagnostics import (Diagnostic, DiagnosticError, Severity,
                           SourceSpan, diag, format_diagnostic)
-from .lints import LintConfig, analyze, parse_config
-from .loader import load_model
-from .model import (AnalysisModel, ControllabilityClass, ExposureClass,
-                    PsySilLevel, SeverityClass, UcaKind)
-from .printer import print_canonical
-from .psysil import determine_psysil
-from .report import build_report, emit_json, emit_markdown
-from .structure import uca_category_coverage
-from .tracegraph import format_trace_tree
 from . import __version__
+
+if TYPE_CHECKING:
+    from .lints import LintConfig
+    from .model import AnalysisModel
 
 EX_OK = 0
 EX_FINDINGS = 1
@@ -80,6 +76,7 @@ def _findings_exit(diags: Sequence[Diagnostic], strict: bool) -> int:
 def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
     """Read the lint config: --config wins, else a psysafe.conf next to
     the first input file; defaults otherwise."""
+    from .lints import LintConfig, parse_config
     if explicit is not None:
         path = Path(explicit)
     else:
@@ -100,6 +97,8 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
 
 
 def _format_coverage(model: AnalysisModel) -> str:
+    from .model import UcaKind
+    from .structure import uca_category_coverage
     rows = uca_category_coverage(model)
     header = ["action"] + [kind.value for kind in UcaKind]
     table = [header]
@@ -115,6 +114,8 @@ def _format_coverage(model: AnalysisModel) -> str:
 
 
 def cmd_check(args) -> int:
+    from .lints import analyze
+    from .loader import load_model
     config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
     diags = analyze(model, dataclasses.replace(config, allows=allows))
@@ -125,6 +126,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_psysil(args) -> int:
+    from .model import (ControllabilityClass, ExposureClass, PsySilLevel,
+                        SeverityClass)
+    from .psysil import determine_psysil
     try:
         s = SeverityClass[args.severity]
         e = ExposureClass[args.exposure]
@@ -139,6 +143,8 @@ def cmd_psysil(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .loader import load_model
+    from .report import build_report, emit_json, emit_markdown
     config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
     report = build_report(model, dataclasses.replace(config, allows=allows))
@@ -158,6 +164,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .loader import load_model
+    from .tracegraph import format_trace_tree
     model, _ = load_model(args.files)
     try:
         tree = format_trace_tree(model, args.from_id, args.dir)
@@ -170,6 +178,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fmt(args) -> int:
+    from .loader import load_model
+    from .printer import print_canonical
     model, _ = load_model(args.files)
     print(print_canonical(model), end="")
     return EX_OK

@@ -66,9 +66,12 @@ def test_check_diagnostics_match_golden():
 
 
 def test_check_unreadable_file_exits_2():
-    proc = psysafe("check", "no/such/file.psy")
-    assert proc.returncode == 2
-    assert "cannot read file" in proc.stderr
+    for path in ("no/such/file.psy", "corpus"):  # missing, a directory
+        proc = psysafe("check", path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"{path}:1:1: error[PSY000]: cannot read file")
+        assert "Traceback" not in proc.stderr
 
 
 def test_check_invalid_utf8_exits_2(tmp_path):
@@ -86,6 +89,14 @@ def test_invalid_utf8_config_exits_2(tmp_path):
     proc = psysafe("check", "--config", str(conf), *CORPUS_ARGS)
     assert proc.returncode == 2
     assert "error[PSY000]: cannot read config file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_directory_exits_2():
+    proc = psysafe("check", "--config", "corpus", *CORPUS_ARGS)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "corpus:1:1: error[PSY000]: cannot read config file")
     assert "Traceback" not in proc.stderr
 
 
@@ -231,6 +242,16 @@ def test_report_out_into_missing_directory_exits_2(tmp_path):
     assert proc.stdout == ""
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("psysafe report: cannot write ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_report_out_to_a_directory_exits_2(tmp_path):
+    proc = psysafe("report", "--format", "json", "--out", str(tmp_path),
+                   *CORPUS_ARGS)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"psysafe report: cannot write {tmp_path}: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -3,12 +3,20 @@
 The invariant for ``load_sources`` is that a model comes back, or a
 ``DiagnosticError`` whose findings all carry catalog rule IDs; nothing
 else may be raised. ``parse_config`` always returns, with findings from
-the catalog. Examples are derandomized so the suite stays repeatable.
+the catalog. Any argv, and any bytes as a file's contents, end in a
+documented exit code with no traceback. Examples are derandomized so the
+suite stays repeatable.
 """
 
+import contextlib
+import io
+import re
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from psysafe import cli
 from psysafe.diagnostics import RULES, DiagnosticError
 from psysafe.lexer import KEYWORDS, PUNCT_CHARS, tokenize
 from psysafe.lints import LintConfig, parse_config
@@ -90,3 +98,88 @@ def test_arbitrary_config_text_parses(text):
      "warning", "info", "off", "loud", '"x"', "1", "level")), max_size=12))
 def test_config_token_soup_parses(words):
     assert_config_parses(" ".join(words))
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """``cli.run`` in process: its exit code and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Inputs the argv vocabulary names: a valid config, which discovery
+    also finds when one of these files is the first input, an empty file,
+    an invalid UTF-8 file and a directory."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "psysafe.conf").write_text("lint { PSY007 = off }\n",
+                                      encoding="utf-8")
+    (tmp / "empty.psy").write_bytes(b"")
+    (tmp / "bad.psy").write_bytes(b'analysis "t\xff" { sae_level = 2 }\n')
+    (tmp / "dir").mkdir()
+    return tmp
+
+
+CORPUS_ARGS = [str(path) for path in sorted(CORPUS_DIR.glob("*.psy"))]
+#: Operands a file command may take; ``{tmp}`` is the fixture's directory.
+FILES = [["{tmp}/empty.psy"], ["{tmp}/bad.psy"], ["{tmp}/missing.psy"],
+         ["{tmp}/dir"], CORPUS_ARGS[:1]]
+CONFIGS = [["--config", "{tmp}/psysafe.conf"], ["--config", "{tmp}/bad.psy"],
+           ["--config", "{tmp}/missing.conf"], ["--config", "{tmp}/dir"]]
+#: Fragments no command accepts as given.
+MISUSE = [["--format", "xml"], ["--dir", "sideways"], ["--from"],
+          ["--version"], ["--help"], ["--frobnicate"]]
+
+
+def extended(base: list[str], fragments: list[list[str]]):
+    """``base`` followed by up to three fragments of its command's
+    vocabulary or of :data:`MISUSE`."""
+    return st.lists(st.sampled_from(fragments + MISUSE), max_size=3).map(
+        lambda extra: base + [arg for fragment in extra for arg in fragment])
+
+
+argvs = st.one_of(
+    extended(["check", *CORPUS_ARGS],
+             FILES + CONFIGS + [["--strict"], ["--coverage"]]),
+    extended(["report", "--format", "json", *CORPUS_ARGS],
+             FILES + CONFIGS + [["--format", "md"], ["--out", "{tmp}/out"],
+                                ["--out", "{tmp}/dir"],
+                                ["--out", "{tmp}/missing/out"]]),
+    extended(["trace", *CORPUS_ARGS, "--from", "H3"],
+             FILES + [["--from", "SG2"], ["--from", "NOPE"],
+                      ["--dir", "up"], ["--dir", "down"]]),
+    extended(["fmt", *CORPUS_ARGS], FILES),
+    st.tuples(st.sampled_from(["S1", "S3", "S9", "E2"]),
+              st.sampled_from(["E1", "E4", "E0", "C1"]),
+              st.sampled_from(["C2", "C3", "c1"])).flatmap(
+        lambda triple: extended(["psysil", *triple], [])),
+    extended([], [["check"], ["lint"]] + FILES),
+)
+
+
+@FUZZ
+@given(argvs)
+def test_any_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
+    code, stderr = run_cli([arg.format(tmp=fuzz_dir) for arg in argv])
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in stderr
+
+
+@pytest.fixture(scope="module")
+def bytes_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes") / "input.psy"
+
+
+@FUZZ
+@given(st.binary())
+def test_any_file_bytes_end_in_findings(bytes_path, data):
+    bytes_path.write_bytes(data)
+    code, stderr = run_cli(["check", str(bytes_path)])
+    assert code in (0, 1, 2)
+    line = re.compile(re.escape(str(bytes_path)) + r":\d+:\d+: "
+                      r"(error|warning|info)\[(PSY\d{3})\]: .+")
+    for text in stderr.splitlines():
+        m = line.fullmatch(text)
+        assert m and m[2] in RULES, text
