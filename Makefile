@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench bench-record bench-smoke loc verify
+.PHONY: test acceptance regen-goldens bench bench-record bench-smoke importtime loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -35,6 +35,17 @@ bench-record:
 
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py -q
+
+CMD ?= check corpus/paper/*.psy
+
+# Runs one CLI command, CMD, under python -X importtime and prints the 15
+# modules with the largest self time, in microseconds. The command's own
+# output is discarded.
+importtime:
+	@PYTHONPATH=src python3 -X importtime -m psysafe $(CMD) 2>&1 >/dev/null \
+	  | awk -F'|' '/^import time: +[0-9]/ { sub(/^import time: +/, "", $$1); \
+	    sub(/^ +/, "", $$3); printf "%8d us  %s\n", $$1, $$3 }' \
+	  | sort -k1,1nr | head -n 15
 
 loc:
 	@wc -l src/psysafe/*.py | tail -n 1

@@ -21,7 +21,6 @@ canonical form). Setting ``NO_COLOR`` disables ANSI coloring.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -118,7 +117,7 @@ def cmd_check(args) -> int:
     from .loader import load_model
     config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
-    diags = analyze(model, dataclasses.replace(config, allows=allows))
+    diags = analyze(model, config._replace(allows=allows))
     _print_diagnostics(diags)
     if args.coverage:
         print(_format_coverage(model), end="")
@@ -147,7 +146,7 @@ def cmd_report(args) -> int:
     from .report import build_report, emit_json, emit_markdown
     config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
-    report = build_report(model, dataclasses.replace(config, allows=allows))
+    report = build_report(model, config._replace(allows=allows))
     text = emit_json(report) if args.format == "json" \
         else emit_markdown(report)
     _print_diagnostics(report.diagnostics)

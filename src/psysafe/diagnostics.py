@@ -8,7 +8,7 @@ retired).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Severity(enum.Enum):
@@ -20,8 +20,7 @@ class Severity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open region of a source file.
 
     Lines and columns are 1-based; ``end_col`` points one past the last
@@ -43,8 +42,7 @@ class SourceSpan:
 SYNTHETIC_SPAN = SourceSpan("<model>", 1, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(NamedTuple):
     id: str
     default_severity: Severity
     #: As the rule table in ``docs/rules.md`` states it.
@@ -97,19 +95,29 @@ _CATALOG = [
 RULES: dict[str, LintRule] = {rule.id: rule for rule in _CATALOG}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """A single finding: parse error, resolution error, or lint result."""
-
+class _DiagnosticFields(NamedTuple):
     rule: str
     severity: Severity
     message: str
     span: SourceSpan
     related: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule ID {self.rule!r}")
+
+class Diagnostic(_DiagnosticFields):
+    """A single finding: parse error, resolution error, or lint result.
+    Its rule must be in :data:`RULES`, also after ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule: str, severity: Severity, message: str,
+                span: SourceSpan, related: tuple[str, ...] = ()):
+        if rule not in RULES:
+            raise ValueError(f"unknown rule ID {rule!r}")
+        return tuple.__new__(cls, (rule, severity, message, span, related))
+
+    @classmethod
+    def _make(cls, iterable) -> Diagnostic:
+        return cls(*iterable)
 
 
 def diag(rule: str, message: str, span: SourceSpan,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
@@ -88,12 +87,11 @@ class Token(NamedTuple):
         return _span(self.file, self.line, self.col, self.text)
 
 
-@dataclass
-class LexResult:
-    tokens: list[Token] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class LexResult(NamedTuple):
+    tokens: list[Token]
+    diagnostics: list[Diagnostic]
     #: line number -> rule IDs suppressed on that line.
-    allows: dict[int, frozenset[str]] = field(default_factory=dict)
+    allows: dict[int, frozenset[str]]
 
 
 def tokenize(source: str, file: str = "<input>") -> LexResult:
@@ -103,7 +101,7 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
     diagnostic is recorded and lexing continues on the next character or
     line. The token list never contains an EOF sentinel.
     """
-    res = LexResult()
+    res = LexResult([], [], {})
     append = res.tokens.append
     line = 1
     # Offset of the current line's first column; a leading BOM takes none.

@@ -8,8 +8,8 @@ that rule for that declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
@@ -34,26 +34,34 @@ def _setting_error(rule_id: str, value: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class _LintConfigFields(NamedTuple):
+    overrides: Mapping[str, str] = MappingProxyType({})
+    #: Read by nothing in psysafe (``check --strict`` sets the exit
+    #: code); kept while perfbench/replay.py still sets it.
+    strict: bool = False
+    allows: Mapping[tuple[str, int], frozenset[str]] = MappingProxyType({})
+
+
+class LintConfig(_LintConfigFields):
     """Severity overrides and per-line suppressions.
 
     ``overrides`` maps rule IDs to ``error``/``warning``/``info``/``off``;
     ``allows`` maps ``(file, line)`` to the rule IDs suppressed on that
-    line.
+    line. Every override is checked at construction, also by ``_replace``.
     """
 
-    overrides: Mapping[str, str] = field(default_factory=dict)
-    #: Read by nothing in psysafe (``check --strict`` sets the exit
-    #: code); kept while perfbench/replay.py still sets it.
-    strict: bool = False
-    allows: Mapping[tuple[str, int], frozenset[str]] = \
-        field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for rule_id, value in self.overrides.items():
             if error := _setting_error(rule_id, value):
                 raise ValueError(error)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> LintConfig:
+        return cls(*iterable)
 
 
 def apply_config(diagnostics: list[Diagnostic],

@@ -14,10 +14,10 @@ itself is a pure function of its input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .diagnostics import (Diagnostic, DiagnosticError, SourceSpan,
                           SYNTHETIC_SPAN, diag)
@@ -145,28 +145,24 @@ class EdgeType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Stakeholder:
+class Stakeholder(NamedTuple):
     id: str
     name: str
 
 
-@dataclass(frozen=True)
-class Stake:
+class Stake(NamedTuple):
     id: str
     description: str
     holder: str
 
 
-@dataclass(frozen=True)
-class Loss:
+class Loss(NamedTuple):
     id: str
     description: str
     violates: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(NamedTuple):
     id: str
     description: str
     leads_to: frozenset[str]
@@ -175,23 +171,20 @@ class Hazard:
     context: str | None = None
 
 
-@dataclass(frozen=True)
-class SafetyGoal:
+class SafetyGoal(NamedTuple):
     id: str
     description: str
     prevents: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Responsibility:
+class Responsibility(NamedTuple):
     id: str
     description: str
     assignee: str
     derived_from: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """Controller or controlled process in the control structure.
 
     ``level`` is the hierarchy rank, 1 = highest authority. Humans may
@@ -211,31 +204,27 @@ class Entity:
     process_model: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ControlAction:
+class ControlAction(NamedTuple):
     id: str
     label: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class FeedbackLink:
+class FeedbackLink(NamedTuple):
     id: str
     label: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class ControlStructure:
+class ControlStructure(NamedTuple):
     entities: tuple[Entity, ...] = ()
     actions: tuple[ControlAction, ...] = ()
     feedbacks: tuple[FeedbackLink, ...] = ()
 
 
-@dataclass(frozen=True)
-class Uca:
+class Uca(NamedTuple):
     id: str
     #: Control action or feedback link the UCA is about.
     on: str
@@ -244,8 +233,7 @@ class Uca:
     hazards: frozenset[str]
 
 
-@dataclass(frozen=True)
-class LossScenario:
+class LossScenario(NamedTuple):
     id: str
     #: UCA (type 1) or control action (type 2) the scenario explains.
     for_ref: str
@@ -255,8 +243,7 @@ class LossScenario:
     description: str
 
 
-@dataclass(frozen=True)
-class RiskAssessment:
+class RiskAssessment(NamedTuple):
     hazard: str
     severity: SeverityClass
     exposure: ExposureClass
@@ -282,8 +269,7 @@ def spelling(member: enum.Enum) -> str:
     return member.value if isinstance(member.value, str) else member.name
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """One value of a declaration, in source order after its keyword."""
 
     #: Attribute the value sets; None for the entity block, which sets
@@ -301,13 +287,19 @@ class Field:
     empty: str | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class Ref(Field):
-    """A field naming other declarations by ID (an ID or ID-list form)."""
+class Ref(NamedTuple):
+    """A field naming other declarations by ID (an ID or ID-list form).
+    Its first six fields are those of :class:`Field`."""
 
+    attr: str
+    form: Form
+    keyword: str | None = None
+    what: str | None = None
+    optional: bool = False
+    empty: str | None = None
     #: Kinds the field may name, in message order; None accepts any
     #: declared entity.
-    kinds: tuple[EntityKind, ...] | None
+    kinds: tuple[EntityKind, ...] | None = None
     #: Trace edge from the declaration to each target: one type, one per
     #: target kind, or None when the field is not traced.
     edge: EdgeType | dict[EntityKind, EdgeType] | None = None
@@ -331,10 +323,18 @@ class Ref(Field):
         return self.edge
 
 
-@dataclass(frozen=True)
-class DeclSpec:
-    """What the model knows about one declaration type."""
+class Sealed:
+    """Mixin for a record subclass that keeps a ``__dict__`` for its cached
+    properties: like the record, it takes no attribute assignment."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+
+class _DeclSpecFields(NamedTuple):
     #: Keywords that begin the declaration. Where there are several, the
     #: keyword also gives the declaration's ``kind``.
     keywords: tuple[str, ...]
@@ -348,6 +348,10 @@ class DeclSpec:
     fields: tuple[Field, ...]
     #: False for assessments, which are keyed by the hazard they rate.
     declares_id: bool = True
+
+
+class DeclSpec(Sealed, _DeclSpecFields):
+    """What the model knows about one declaration type."""
 
     @cached_property
     def refs(self) -> tuple[Ref, ...]:
@@ -456,15 +460,10 @@ DECLS: dict[type, DeclSpec] = {
 }
 
 
-@dataclass(frozen=True, eq=True)
-class AnalysisModel:
-    """Fully resolved model; all cross-references are known to exist.
+_EMPTY: Mapping = MappingProxyType({})
 
-    Collections are sorted by entity ID, so two models with the same
-    declarations compare equal regardless of declaration order. Source
-    spans are excluded from equality.
-    """
 
+class _AnalysisModelFields(NamedTuple):
     title: str
     sae_level: int
     boundary: str | None = None
@@ -477,16 +476,33 @@ class AnalysisModel:
     structure: ControlStructure = ControlStructure()
     ucas: tuple[Uca, ...] = ()
     scenarios: tuple[LossScenario, ...] = ()
-    assessments: Mapping[str, RiskAssessment] = field(default_factory=dict)
-    spans: Mapping[str, SourceSpan] = field(default_factory=dict,
-                                            compare=False)
-    _kinds: dict = field(init=False, repr=False, compare=False)
+    assessments: Mapping[str, RiskAssessment] = _EMPTY
+    #: The last field, so equality can leave it out.
+    spans: Mapping[str, SourceSpan] = _EMPTY
 
-    def __post_init__(self) -> None:
-        kinds = {item.id: spec.kind or item.kind
-                 for spec in DECLS.values() if spec.declares_id
-                 for item in spec.items(self)}
-        object.__setattr__(self, "_kinds", kinds)
+
+class AnalysisModel(Sealed, _AnalysisModelFields):
+    """Fully resolved model; all cross-references are known to exist.
+
+    Collections are sorted by entity ID, so two models with the same
+    declarations compare equal regardless of declaration order. Source
+    spans are excluded from equality.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, AnalysisModel):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    @cached_property
+    def _kinds(self) -> dict[str, EntityKind]:
+        return {item.id: spec.kind or item.kind
+                for spec in DECLS.values() if spec.declares_id
+                for item in spec.items(self)}
 
     def kind_of(self, entity_id: str) -> EntityKind | None:
         """Declaration kind of an ID, or None when the ID is unknown."""
@@ -569,9 +585,9 @@ def resolve(model: RawModel) -> AnalysisModel:
     def by_id(cls: type) -> tuple:
         return tuple(sorted(groups[cls], key=lambda item: item.id))
 
-    scenarios = [replace(s, scenario_type=ScenarioType.UCA_OCCURRENCE
-                         if kinds[s.for_ref] is EntityKind.UCA
-                         else ScenarioType.IMPROPER_EXECUTION)
+    scenarios = [s._replace(scenario_type=ScenarioType.UCA_OCCURRENCE
+                            if kinds[s.for_ref] is EntityKind.UCA
+                            else ScenarioType.IMPROPER_EXECUTION)
                  for s in by_id(LossScenario)]
     return AnalysisModel(
         title=model.header.title,

@@ -17,23 +17,21 @@ one header across the concatenation.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
 from .lexer import Token, TokenKind
 from .model import DECLS, DeclSpec, Form, spelling
 
 
-@dataclass(frozen=True)
-class RawHeader:
+class RawHeader(NamedTuple):
     title: str
     sae_level: int
     boundary: str | None
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class RawModel:
+class RawModel(NamedTuple):
     """Parse result: (declaration, span) pairs in source order, each a
     domain type of :data:`psysafe.model.DECLS`, references unchecked."""
     header: RawHeader | None
@@ -282,8 +280,8 @@ def _steps(spec: DeclSpec) -> tuple:
 #: that no field sets start as the keyword implies (``Entity.kind``) or
 #: as None (``LossScenario.scenario_type``, which resolution derives).
 _PLANS = {
-    keyword: (cls, {**dict.fromkeys(f.name for f in fields(cls)
-                                     if f.default is MISSING),
+    keyword: (cls, {**dict.fromkeys(f for f in cls._fields
+                                     if f not in cls._field_defaults),
                     **spec.implied(keyword)}, _steps(spec))
     for cls, spec in DECLS.items() for keyword in spec.keywords}
 

@@ -9,7 +9,7 @@ table data below is the ground truth the tool ships.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (AnalysisModel, ControllabilityClass, ExposureClass,
                     PsySilLevel, SafetyGoal, SeverityClass)
@@ -45,8 +45,7 @@ RATED_CELLS: dict[tuple[SeverityClass, ExposureClass, ControllabilityClass],
 }
 
 
-@dataclass(frozen=True)
-class PsySilCell:
+class PsySilCell(NamedTuple):
     severity: SeverityClass
     exposure: ExposureClass
     controllability: ControllabilityClass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .diagnostics import Diagnostic
@@ -40,12 +40,11 @@ _UNASSESSED = {"severity": "-", "exposure": "-", "controllability": "-",
                "level": "unassessed"}
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     #: The JSON document, keys in the documented order.
     document: dict
     diagnostics: list[Diagnostic]
-    model: AnalysisModel = field(repr=False)
+    model: AnalysisModel
 
 
 def _relativize(path: str) -> str:

@@ -9,8 +9,7 @@ intermediate levels, that closes its loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
 from .model import AnalysisModel, ControlStructure, UcaKind
@@ -105,8 +104,7 @@ def _reachable(adj: dict[str, set[str]], start: str, goal: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CoverageRow:
+class CoverageRow(NamedTuple):
     """Which of the four UCA kinds are covered for one control action."""
 
     action: str

@@ -13,24 +13,26 @@ source and by target once, so a trace is linear in what it reaches.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .model import DECLS, AnalysisModel, EdgeType, EntityKind
+from .model import DECLS, AnalysisModel, EdgeType, EntityKind, Sealed
 
 
-@dataclass(frozen=True)
-class TraceEdge:
+class TraceEdge(NamedTuple):
     source: str
     target: str
     type: EdgeType
 
 
-@dataclass(frozen=True)
-class TraceGraph:
+class _TraceGraphFields(NamedTuple):
     #: entity ID -> declaration kind
     nodes: tuple[tuple[str, EntityKind], ...]
     edges: tuple[TraceEdge, ...]
+
+
+class TraceGraph(Sealed, _TraceGraphFields):
+    """Nodes and edges; the edges are indexed on first use."""
 
     def node_ids(self) -> frozenset[str]:
         return frozenset(node_id for node_id, _ in self.nodes)

@@ -6,8 +6,6 @@ grammar cannot express (empty link lists) are mutated on the resolved
 model instead of the source text.
 """
 
-import dataclasses
-
 from psysafe.diagnostics import Diagnostic
 from psysafe.lints import LintConfig, analyze
 from psysafe.loader import load_sources
@@ -59,13 +57,13 @@ def _replace_line(text: str, needle: str, replacement: str) -> str:
 
 
 def _drop_losses_link(model: AnalysisModel) -> AnalysisModel:
-    loss = dataclasses.replace(model.losses[0], violates=frozenset())
-    return dataclasses.replace(model, losses=(loss,) + model.losses[1:])
+    loss = model.losses[0]._replace(violates=frozenset())
+    return model._replace(losses=(loss,) + model.losses[1:])
 
 
 def _drop_hazard_link(model: AnalysisModel) -> AnalysisModel:
-    hazard = dataclasses.replace(model.hazards[0], leads_to=frozenset())
-    return dataclasses.replace(model, hazards=(hazard,) + model.hazards[1:])
+    hazard = model.hazards[0]._replace(leads_to=frozenset())
+    return model._replace(hazards=(hazard,) + model.hazards[1:])
 
 
 def mutant_diagnostics(rule: str) -> list[Diagnostic]:

@@ -5,7 +5,6 @@ Each test prints a single ``criterion N: PASS`` line (visible with
 Run with ``pytest tests/test_acceptance.py -v``.
 """
 
-import dataclasses
 import itertools
 import json
 import re
@@ -176,8 +175,7 @@ def test_criterion_8_control_loop_validation(corpus_model):
     assert validate_structure(corpus_model.structure,
                               corpus_model.spans) == []
     structure = corpus_model.structure
-    without_inform = dataclasses.replace(
-        structure,
+    without_inform = structure._replace(
         feedbacks=tuple(f for f in structure.feedbacks
                         if f.id != "FB_inform"))
     diags = validate_structure(without_inform, corpus_model.spans)

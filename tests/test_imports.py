@@ -1,5 +1,6 @@
-"""The import budget: ``import psysafe`` loads no submodule, and each
-command loads only the modules it runs.
+"""The import budget: ``import psysafe`` loads no submodule, each
+command loads only the modules it runs, and none loads ``dataclasses``
+or ``inspect``.
 
 Each command runs in a fresh interpreter, since this process has loaded
 every module already.
@@ -38,10 +39,11 @@ BUDGET = [
 ]
 
 #: Runs ``cli.run`` on argv (none: only ``import psysafe``), then prints
-#: the loaded psysafe modules and whether ``json`` is loaded as the last
-#: line of stdout.
+#: the loaded psysafe modules and, for each of ``json``, ``dataclasses``
+#: and ``inspect``, whether the run loaded it, as the last line of stdout.
 PROBE = """\
 import glob, sys
+preloaded = set(sys.modules)
 argv = {argv!r}
 if argv is None:
     import psysafe
@@ -53,7 +55,8 @@ else:
     assert code == 0, code
 print()
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "psysafe"),
-      "json" in sys.modules)
+      *(m in sys.modules and m not in preloaded
+        for m in ("json", "dataclasses", "inspect")))
 """
 
 
@@ -67,9 +70,11 @@ def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
         cwd=REPO_ROOT, env={**os.environ,
                             "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    *loaded, json_flag = proc.stdout.splitlines()[-1].split()
+    *loaded, json_flag, dataclasses_flag, inspect_flag = \
+        proc.stdout.splitlines()[-1].split()
     assert set(loaded) == modules
     assert json_flag == str(json_loaded)
+    assert dataclasses_flag == inspect_flag == "False"
 
 
 def test_every_public_name_is_its_home_module_object():

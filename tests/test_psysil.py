@@ -71,36 +71,32 @@ def test_goal_inherits_maximum_of_assessed_hazards(corpus_model):
 
 
 def test_goal_psysil_takes_the_worst_hazard():
-    import dataclasses
-
     from psysafe.model import RiskAssessment
     from tests.mutations import load_clean
 
     model, _ = load_clean()
     S, E, C = SeverityClass, ExposureClass, ControllabilityClass
-    model = dataclasses.replace(model, assessments={
+    model = model._replace(assessments={
         "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
     })
     goal = SafetyGoal("G9", "g", frozenset({"H1"}))
     assert goal_psysil(goal, model) is PsySilLevel.A
 
-    model = dataclasses.replace(model, assessments={
+    model = model._replace(assessments={
         "H1": RiskAssessment("H1", S.S3, E.E4, C.C2),   # C
     })
     assert goal_psysil(goal, model) is PsySilLevel.C
 
 
 def test_goal_over_hazards_rated_a_and_b_inherits_b():
-    import dataclasses
-
     from psysafe.model import Hazard, RiskAssessment
     from tests.mutations import load_clean
 
     model, _ = load_clean()
     S, E, C = SeverityClass, ExposureClass, ControllabilityClass
     extra = Hazard("H2", "second", frozenset({"L1"}))
-    model = dataclasses.replace(
-        model, hazards=model.hazards + (extra,),
+    model = model._replace(
+        hazards=model.hazards + (extra,),
         assessments={
             "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
             "H2": RiskAssessment("H2", S.S2, E.E4, C.C2),   # B
@@ -110,16 +106,14 @@ def test_goal_over_hazards_rated_a_and_b_inherits_b():
 
 
 def test_goal_psysil_is_order_independent():
-    import dataclasses
-
     from psysafe.model import Hazard, RiskAssessment
     from tests.mutations import load_clean
 
     model, _ = load_clean()
     S, E, C = SeverityClass, ExposureClass, ControllabilityClass
     extra = Hazard("H2", "second", frozenset({"L1"}))
-    model = dataclasses.replace(
-        model, hazards=model.hazards + (extra,),
+    model = model._replace(
+        hazards=model.hazards + (extra,),
         assessments={
             "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
             "H2": RiskAssessment("H2", S.S2, E.E4, C.C3),   # C

@@ -1,5 +1,3 @@
-import dataclasses
-
 from psysafe.loader import load_sources
 from psysafe.model import UcaKind
 from psysafe.structure import uca_category_coverage, validate_structure
@@ -15,7 +13,7 @@ def test_corpus_structure_is_clean(corpus_model):
 def test_removing_the_inform_feedback_opens_one_loop(corpus_model):
     structure = corpus_model.structure
     feedbacks = tuple(f for f in structure.feedbacks if f.id != "FB_inform")
-    mutated = dataclasses.replace(structure, feedbacks=feedbacks)
+    mutated = structure._replace(feedbacks=feedbacks)
     diags = validate_structure(mutated, corpus_model.spans)
     assert [d.rule for d in diags] == ["PSY010"]
     assert diags[0].related == ("CA_takeover",)
@@ -87,8 +85,7 @@ def test_processes_do_not_need_process_models(corpus_model):
 
 def test_validation_is_order_independent(corpus_model):
     structure = corpus_model.structure
-    shuffled = dataclasses.replace(
-        structure,
+    shuffled = structure._replace(
         entities=tuple(reversed(structure.entities)),
         actions=tuple(reversed(structure.actions)),
         feedbacks=tuple(reversed(structure.feedbacks)))
