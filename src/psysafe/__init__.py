@@ -26,13 +26,11 @@ _EXPORTS = {
              "SeverityClass Stake Stakeholder Uca UcaKind resolve",
     "psysil": "PsySilCell determine_psysil goal_psysil psysil_table",
     "structure": "CoverageRow uca_category_coverage validate_structure",
-    "tracegraph": "TraceEdge TraceGraph build_trace_graph format_trace_tree "
-                  "trace_from",
+    "tracegraph": "TraceEdge TraceGraph build_trace_graph format_trace_tree",
     "lints": "LintConfig analyze apply_config parse_config run_lints",
     "printer": "print_canonical",
     "loader": "LoadError load_model load_sources",
     "report": "Report build_report emit_json emit_markdown",
-    "corpus": "load_paper_example",
 }
 _HOME = {n: mod for mod, names in _EXPORTS.items() for n in names.split()}
 

@@ -109,13 +109,8 @@ COMPLETENESS = (
 )
 
 
-def run_lints(model: AnalysisModel,
-              config: LintConfig | None = None) -> list[Diagnostic]:
-    """Evaluate the completeness rules over a resolved model.
-
-    Pure function of (model, config); the result is sorted by
-    (file, line, rule) and identical on repeated runs.
-    """
+def _lint_findings(model: AnalysisModel) -> list[Diagnostic]:
+    """The completeness and assignment findings, unconfigured, unsorted."""
     diags: list[Diagnostic] = []
     for rule, subject, (owner, attr), message in COMPLETENESS:
         spec = DECLS[owner]
@@ -136,17 +131,23 @@ def run_lints(model: AnalysisModel,
                 "PSY012", f"responsibility {resp.id} assignee "
                 f"'{resp.assignee}' is not part of the control structure",
                 model.span_of(resp.id), (resp.id, resp.assignee)))
+    return diags
 
-    return sort_diagnostics(apply_config(diags, config))
+
+def run_lints(model: AnalysisModel,
+              config: LintConfig | None = None) -> list[Diagnostic]:
+    """The lint findings alone, with ``config`` applied, in
+    :func:`sort_diagnostics` order. Pure function of (model, config)."""
+    return sort_diagnostics(apply_config(_lint_findings(model), config))
 
 
 def analyze(model: AnalysisModel,
             config: LintConfig | None = None) -> list[Diagnostic]:
     """Every finding on a resolved model: structure validation and all
     lints, with ``config`` applied, in :func:`sort_diagnostics` order."""
-    diags = apply_config(validate_structure(model.structure, model.spans),
-                         config)
-    return sort_diagnostics(diags + run_lints(model, config))
+    structure = validate_structure(model.structure, model.spans)
+    return sort_diagnostics(apply_config(structure + _lint_findings(model),
+                                         config))
 
 
 def _next_setting(toks: list, i: int) -> int:

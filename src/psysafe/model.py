@@ -29,49 +29,31 @@ if TYPE_CHECKING:
 class SeverityClass(enum.IntEnum):
     """Severity of psychological harm, by how long the effect lasts."""
 
-    S1 = 1  # marginal, short term
-    S2 = 2  # moderate, medium term
-    S3 = 3  # critical, long term
-
-    @property
-    def label(self) -> str:
-        return {1: "Marginal", 2: "Moderate", 3: "Critical"}[self.value]
-
-    @property
-    def effect(self) -> str:
-        return {
-            1: "Short term (e.g. increased heart rate, increase in blood "
-               "pressure, adrenaline release)",
-            2: "Medium term (e.g. psychological strain, psychosomatic "
-               "health symptoms)",
-            3: "Long term (e.g. depression, anxiety, cardiovascular "
-               "disease)",
-        }[self.value]
+    # marginal, short term (e.g. increased heart rate, increase in blood
+    # pressure, adrenaline release)
+    S1 = 1
+    # moderate, medium term (e.g. psychological strain, psychosomatic
+    # health symptoms)
+    S2 = 2
+    # critical, long term (e.g. depression, anxiety, cardiovascular disease)
+    S3 = 3
 
 
 class ExposureClass(enum.IntEnum):
     """Probability of being in the relevant operational situation."""
 
-    E1 = 1
-    E2 = 2
-    E3 = 3
-    E4 = 4
-
-    @property
-    def label(self) -> str:
-        return {1: "Very Low", 2: "Low", 3: "Medium", 4: "High"}[self.value]
+    E1 = 1  # very low
+    E2 = 2  # low
+    E3 = 3  # medium
+    E4 = 4  # high
 
 
 class ControllabilityClass(enum.IntEnum):
     """Ability of the autonomy or the person to avoid the harm."""
 
-    C1 = 1
-    C2 = 2
-    C3 = 3
-
-    @property
-    def label(self) -> str:
-        return {1: "Simple", 2: "Normal", 3: "Difficult"}[self.value]
+    C1 = 1  # simple
+    C2 = 2  # normal
+    C3 = 3  # difficult
 
 
 class PsySilLevel(enum.IntEnum):

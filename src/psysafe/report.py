@@ -48,11 +48,13 @@ class Report(NamedTuple):
 
 
 def _relativize(path: str) -> str:
+    """``path`` relative to the working directory when it lies below it,
+    with undecodable bytes escaped as stderr prints them (``\\udcff``)."""
     if os.path.isabs(path):
         rel = os.path.relpath(path)
         if not rel.startswith(".."):
-            return rel
-    return path
+            path = rel
+    return path.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def build_report(model: AnalysisModel,

@@ -255,10 +255,35 @@ def test_report_out_to_a_directory_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_report_escapes_a_file_name_that_is_not_utf8(tmp_path):
+    # The corpus, with hazards.psy renamed to the bytes h\xff.psy. Under
+    # a UTF-8 locale, stdout and the --out file are both strict UTF-8.
+    for path in (REPO_ROOT / "corpus" / "paper").glob("*.psy"):
+        name = (os.fsdecode(b"h\xff.psy") if path.name == "hazards.psy"
+                else path.name)
+        (tmp_path / name).write_bytes(path.read_bytes())
+    files = sorted(os.listdir(tmp_path))
+    runs = {}
+    for fmt, out in (("json", []), ("md", ["--out", "r.md"])):
+        runs[fmt] = proc = subprocess.run(
+            [sys.executable, "-m", "psysafe", "report", "--format", fmt,
+             *out, *files], capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict",
+                 "PYTHONPATH": str(REPO_ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+    diagnostics = json.loads(runs["json"].stdout)["diagnostics"]
+    assert diagnostics[0]["file"] == "h\\udcff.psy"
+    assert [d["file"] for d in diagnostics] == [
+        line.split(":")[0] for line in runs["json"].stderr.splitlines()]
+    assert "h\\udcff.psy:" in (tmp_path / "r.md").read_text(
+        encoding="utf-8")
+
+
 def test_check_and_report_analyze_once(monkeypatch, capsys):
     from psysafe import cli, lints
     calls = []
-    for name in ("validate_structure", "run_lints"):
+    for name in ("validate_structure", "_lint_findings"):
         real = getattr(lints, name)
         monkeypatch.setattr(lints, name, lambda *a, _real=real, _name=name,
                             **k: calls.append(_name) or _real(*a, **k))
@@ -266,7 +291,7 @@ def test_check_and_report_analyze_once(monkeypatch, capsys):
     for argv in (["check", *files], ["report", "--format", "json", *files]):
         calls.clear()
         assert cli.run(argv) == 0
-        assert sorted(calls) == ["run_lints", "validate_structure"], argv
+        assert sorted(calls) == ["_lint_findings", "validate_structure"], argv
     capsys.readouterr()
 
 

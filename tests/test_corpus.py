@@ -1,16 +1,11 @@
 """Fidelity checks for the bundled lane-change example."""
 
-from psysafe.corpus import corpus_files, load_paper_example
 from psysafe.model import CausalFactor, EntityKind, UcaKind
 
 
-def test_fixture_files_present():
-    names = [p.name for p in corpus_files()]
+def test_fixture_files_present(corpus_files):
+    names = [p.name for p in corpus_files]
     assert names == ["hazards.psy", "structure.psy", "ucas.psy"]
-
-
-def test_loads_with_default_location(corpus_model):
-    assert load_paper_example() == corpus_model
 
 
 def test_entity_inventory(corpus_model):

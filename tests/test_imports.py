@@ -8,6 +8,7 @@ every module already.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -107,3 +108,15 @@ def test_unknown_name_raises_attribute_error():
         psysafe.nope
     with pytest.raises(ImportError):
         from psysafe import nope  # noqa: F401
+
+
+def test_traced_benchmark_names_are_public():
+    # The benchmark's traced mode reads these through ``import psysafe as
+    # ps``; the benchmark smoke test is not part of this suite.
+    source = (REPO_ROOT / "perfbench" / "replay.py").read_text(
+        encoding="utf-8")
+    names = set(re.findall(r"\bps\.(\w+)", source))
+    assert names
+    for name in sorted(names):
+        assert name in psysafe.__all__, name
+        assert getattr(psysafe, name) is not None, name
