@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench bench-record bench-smoke importtime loc verify
+.PHONY: test acceptance regen-goldens bench bench-record bench-smoke importtime profile loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -46,6 +46,13 @@ importtime:
 	  | awk -F'|' '/^import time: +[0-9]/ { sub(/^import time: +/, "", $$1); \
 	    sub(/^ +/, "", $$3); printf "%8d us  %s\n", $$1, $$3 }' \
 	  | sort -k1,1nr | head -n 15
+
+# Runs one CLI command, CMD, under python -m cProfile -s tottime and prints
+# the 15 functions with the largest self time, under the profile's column
+# header. The command's own output is discarded.
+profile:
+	@PYTHONPATH=src python3 -m cProfile -s tottime -m psysafe $(CMD) 2>/dev/null \
+	  | awk '/^ +ncalls +tottime/ { shown = 1 } shown' | head -n 16
 
 loc:
 	@wc -l src/psysafe/*.py | tail -n 1

@@ -1,9 +1,10 @@
-"""Front-to-back loading pipeline: files -> tokens -> raw -> resolved.
+"""Front-to-back loading pipeline: files -> raw -> resolved.
 
-Multiple input files form one model: they are tokenized and parsed
-independently (spans keep their own file names) and concatenated in
-argument order before resolution. Lint suppressions collected from
-``# psysafe-allow`` comments ride along keyed by (file, line).
+Multiple input files form one model: each is read on its own (spans keep
+their own file names) by ``parser``'s token reader, which gives every
+diagnostic, and, for inputs over ``FAST_MIN_CHARS``, its line reader; they
+are concatenated in argument order before resolution. Lint suppressions
+from ``# psysafe-allow`` comments ride along keyed by (file, line).
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .diagnostics import (Diagnostic, DiagnosticError, SourceSpan, diag)
-from .lexer import tokenize
 from .model import AnalysisModel, resolve
-from .parser import merge_raw_models, parse
+from .parser import FAST_MIN_CHARS, merge_raw_models, read_source
 
 Allows = dict[tuple[str, int], frozenset[str]]
 
@@ -33,13 +33,12 @@ def load_sources(sources: Sequence[tuple[str, str]]
     diags: list[Diagnostic] = []
     parsed = []
     allows: Allows = {}
+    fast = sum(len(text) for _, text in sources) > FAST_MIN_CHARS
     for name, text in sources:
-        lex = tokenize(text, name)
-        diags.extend(lex.diagnostics)
-        for line, rules in lex.allows.items():
-            allows[(name, line)] = rules
-        raw_model, parse_diags = parse(lex.tokens, name)
-        diags.extend(parse_diags)
+        raw_model, file_diags, file_allows = read_source(text, name, fast)
+        diags.extend(file_diags)
+        allows.update(((name, line), rules)
+                      for line, rules in file_allows.items())
         parsed.append((name, raw_model))
     if diags:
         raise LoadError(diags)

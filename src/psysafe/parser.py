@@ -7,20 +7,30 @@ declaration.
 
 The grammar is written out in ``docs/language.md``. Each declaration's
 syntax is not restated here: the parser walks the fields of its entry in
-:data:`psysafe.model.DECLS`. Only the ``analysis`` header and the entity
-property block are read by hand.
+:data:`psysafe.model.DECLS`, and the line reader compiles its patterns
+from them. Only the header and the entity block are read by hand.
 
 A single model may span several files: each file allows at most one
 ``analysis`` header (as its first construct), and merging enforces exactly
 one header across the concatenation.
+
+:func:`read_source` has two readers. The token reader is :func:`tokenize`
+then :func:`parse`. The line reader builds each line that is a whole
+declaration straight from the match of its keyword's pattern, and hands
+every other run of lines to the token reader. Every diagnostic comes from
+the token reader over the whole file: on anything it would report, the
+line reader gives up and the token reader reads the whole file.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
-from .lexer import Token, TokenKind
+from .lexer import (_ESCAPE_RE, KEYWORDS, LexResult, Token, TokenKind,
+                    _record_allow, tokenize)
 from .model import DECLS, DeclSpec, Form, spelling
 
 
@@ -297,6 +307,108 @@ def parse(tokens: list[Token],
     p = _Parser(tokens, file)
     model = p.file_()
     return model, p.diagnostics
+
+
+#: Runs of more characters take the line reader: its patterns cost ≈6 ms to
+#: compile and save ≈0.07 ms per 1k characters, breaking even at 50k-75k on
+#: perfbench/gen.py models (median of 31 runs, Python 3.11.7, 2-vCPU VM).
+FAST_MIN_CHARS = 65_536
+
+_ID = "[A-Za-z][A-Za-z0-9_.]*"
+#: A string allows only the escapes the lexer decodes, \" and \\.
+_VALUES = {Form.ID: f"({_ID})", Form.IDS: f"({_ID}(?:[ \t]*,[ \t]*{_ID})*)",
+           Form.INT: "([0-9]+)",
+           Form.STRING: r'"([^"\\]*(?:\\["\\][^"\\]*)*)"'}
+_CONVERT = {Form.ID: str, Form.INT: int,
+            Form.IDS: lambda t: frozenset(map(str.strip, t.split(","))),
+            Form.STRING: lambda t: _ESCAPE_RE.sub(r"\1", t) if "\\" in t
+            else t}
+#: Whether the token reader reports a value: a keyword as an ID, and, for a
+#: field with an ``empty`` message, an empty string or a zero.
+_REPORTED = {Form.ID: KEYWORDS.__contains__, Form.IDS: KEYWORDS.intersection}
+
+
+@cache
+def _line_readers() -> dict:
+    """Keyword -> (fullmatch of the one-line form, type, initial values,
+    (value index, converter, reported) per group, end group index)."""
+    readers = {}
+    for keyword, (cls, initial, _) in _PLANS.items():
+        pattern, fields = [keyword], []
+        for f in DECLS[cls].fields:
+            if f.form is Form.BLOCK:
+                continue  # an entity with a block is read by the token reader
+            if isinstance(f.form, Form):
+                value, convert = _VALUES[f.form], _CONVERT[f.form]
+            else:
+                spelled = {spelling(m): m for m in f.form}
+                value, convert = f"({'|'.join(spelled)})", spelled.__getitem__
+            part = (f"[ \t]+{f.keyword}" if f.keyword else "") + \
+                f"[ \t]+{value}"
+            pattern.append(f"(?:{part})?" if f.optional else part)
+            fields.append((cls._fields.index(f.attr), convert, _REPORTED.get(
+                f.form, f.empty and (lambda value: not value))))
+        readers[keyword] = (
+            re.compile("".join(pattern) + r"()[ \t]*(?:#(.*))?").fullmatch,
+            cls, [initial.get(f, cls._field_defaults.get(f))
+                  for f in cls._fields], fields, len(fields) + 1)
+    return readers
+
+
+def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
+    """The raw model and allows of ``source``, or None to read it whole
+    with the token reader, which also reads each run of lines no pattern
+    matches (a BOM on line 1 starts one; its lexer skips the BOM)."""
+    readers = _line_readers()
+    # The lexer's line ends; str.splitlines also splits at \f and others.
+    lines = (re.split(r"\r\n?|\n", source) if "\r" in source
+             else source.split("\n"))
+    res, header, decls = LexResult([], [], {}), None, []
+    first = 0  # first line of the open run; 0 when none is open
+    for number, line in enumerate([*lines, None], 1):
+        if line is not None:
+            reader = readers.get(line.partition(" ")[0])
+            m = reader and reader[0](line)
+            if not m:
+                if not first and line.strip(" \t"):
+                    first = number
+                continue
+        if first:  # a header after an earlier run is after a declaration
+            lex = tokenize("\n".join(lines[first - 1:number - 1]), file, first)
+            model, diagnostics = parse(lex.tokens, file)
+            if lex.diagnostics or diagnostics or (model.header and decls):
+                return None
+            res.allows.update(lex.allows)
+            decls.extend(model.decls)
+            header, first = model.header or header, 0
+        if line is None:
+            break
+        _, cls, values, fields, end = reader
+        values = values.copy()
+        for (index, convert, reported), text in zip(fields, m.groups()):
+            if text is not None:  # else an absent optional field
+                try:
+                    value = values[index] = convert(text)
+                except ValueError:  # an integer too long
+                    return None
+                if reported and reported(value):
+                    return None
+        decls.append((cls(*values),
+                      SourceSpan(file, number, 1, number, m.end(end) + 1)))
+        if m[end + 1] is not None:
+            _record_allow(res, m[end + 1], number)
+    return RawModel(header, tuple(decls)), res.allows
+
+
+def read_source(source: str, file: str = "<input>", fast: bool = False
+                ) -> tuple[RawModel, list[Diagnostic], dict]:
+    """One file's raw model, diagnostics and allows (line -> rule IDs).
+    ``fast`` tries the line reader first; the result is the same."""
+    if fast and (read := _read_lines(source, file)) is not None:
+        return read[0], [], read[1]
+    lex = tokenize(source, file)
+    model, diagnostics = parse(lex.tokens, file)
+    return model, lex.diagnostics + diagnostics, lex.allows
 
 
 def merge_raw_models(models: list[tuple[str, RawModel]]) \

@@ -30,17 +30,21 @@ class TraceGraph(NamedTuple):
     edges: tuple[TraceEdge, ...]
 
 
+def _edges(model: AnalysisModel):
+    """One edge per traced reference, in table order."""
+    return (TraceEdge(decl.id, target, edge_type)
+            for spec in DECLS.values()
+            for ref in spec.refs if ref.edge is not None
+            for decl in spec.items(model) for target in ref.targets(decl)
+            if (edge_type := ref.edge_to(model.kind_of(target))))
+
+
 def build_trace_graph(model: AnalysisModel) -> TraceGraph:
     """One node per declared entity, one edge per traced reference."""
     nodes = sorted((entity_id, model.kind_of(entity_id))
                    for entity_id in model.entity_ids)
-    edges = sorted(
-        (TraceEdge(decl.id, target, edge_type)
-         for spec in DECLS.values()
-         for ref in spec.refs if ref.edge is not None
-         for decl in spec.items(model) for target in ref.targets(decl)
-         if (edge_type := ref.edge_to(model.kind_of(target)))),
-        key=lambda e: (e.source, e.type.value, e.target))
+    edges = sorted(_edges(model),
+                   key=lambda e: (e.source, e.type.value, e.target))
     return TraceGraph(tuple(nodes), tuple(edges))
 
 
@@ -67,10 +71,11 @@ def format_trace_tree(model: AnalysisModel, entity_id: str,
     if model.kind_of(entity_id) is None:
         raise KeyError(entity_id)
     # ``(other end, edge)`` pairs by source (key ``True``, forward) and by
-    # target (``False``), each ordered by other end, then edge type.
+    # target (``False``), each ordered by other end, then edge type (unique:
+    # a resolved model has one edge per (source, target, type)).
     steps: dict[bool, dict[str, list[tuple[str, TraceEdge]]]] = \
         {True: {}, False: {}}
-    for e in build_trace_graph(model).edges:
+    for e in _edges(model):
         steps[True].setdefault(e.source, []).append((e.target, e))
         steps[False].setdefault(e.target, []).append((e.source, e))
     for pairs in (*steps[True].values(), *steps[False].values()):

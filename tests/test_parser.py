@@ -4,7 +4,7 @@ from psysafe.diagnostics import SourceSpan
 from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.model import (DECLS, EntityKind, Form, Hazard, Loss, Uca,
                            UcaKind, spelling)
-from psysafe.parser import merge_raw_models, parse
+from psysafe.parser import merge_raw_models, parse, read_source
 
 
 def parse_text(text, file="t.psy"):
@@ -425,3 +425,35 @@ def test_recovery_stops_at_exactly_the_table_declaration_keywords():
             stops.add(word)
     table = {kw for spec in DECLS.values() for kw in spec.keywords}
     assert stops == table | {"analysis"}
+
+
+#: A declaration split across lines, and its last line: each reads as the
+#: same record as its one-line form. None of these continuation lines
+#: starts with a declaration keyword, so the line reader hands them all
+#: to the token reader.
+SPLIT = [
+    ('hazard H1 "h" leads_to L1\n  , L2', 2),
+    ('hazard H1 "h" leads_to L1, L2\n  context "c"', 2),
+    ('assess H1 severity S2 exposure E4 controllability C1\n'
+     '  rationale "r"', 2),
+    ('controller C1 "c" level 1\n{\n  human sa_level 2\n}', 4),
+    ('analysis "t"\n{\n  sae_level\n  = 2\n  boundary "b"\n}', 6),
+]
+
+
+@pytest.mark.parametrize("text, last_line", SPLIT)
+def test_declaration_split_across_lines(text, last_line):
+    model, diags = parse_text(text)
+    one_line, one_line_diags = parse_text(" ".join(text.split()))
+    assert not diags and not one_line_diags
+    if model.header is not None:
+        assert model.header._replace(span=None) == \
+            one_line.header._replace(span=None)
+        span = model.header.span
+    else:
+        [(decl, span)] = model.decls
+        assert decl == one_line.decls[0][0]
+    assert (span.start_line, span.start_col, span.end_line) == \
+        (1, 1, last_line)
+    assert read_source(text, "t.psy", fast=True) == \
+        read_source(text, "t.psy")
