@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens bench bench-record bench-smoke importtime profile loc verify
+.PHONY: test acceptance regen-goldens goldens bench bench-record bench-smoke importtime profile loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -8,6 +8,30 @@ acceptance:
 
 regen-goldens:
 	python3 scripts/regen_goldens.py
+
+PY ?= python3
+
+# Runs check and report --format json|md under $(PY) on the corpus and on
+# each tests/golden/*/model.psy, and diffs the output against the goldens.
+# Needs no pytest, so it checks any interpreter pyproject.toml allows; exits
+# non-zero on any difference.
+goldens:
+	@export PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1; fail=0; \
+	for golden in corpus/paper/golden tests/golden/*/; do \
+	  golden=$${golden%/}; \
+	  case $$golden in \
+	    corpus/*) files='corpus/paper/*.psy';; \
+	    *) files=$$golden/model.psy;; \
+	  esac; \
+	  $(PY) -m psysafe check $$files 2>&1 >/dev/null \
+	    | diff -u $$golden/diagnostics.txt - || fail=1; \
+	  for fmt in json md; do \
+	    $(PY) -m psysafe report $$files --format $$fmt 2>/dev/null \
+	      | diff -u $$golden/report.$$fmt - || fail=1; \
+	  done; \
+	done; \
+	if [ $$fail = 0 ]; then echo "goldens match under $$($(PY) -V)"; fi; \
+	exit $$fail
 
 W ?= synth-trace
 SEED ?= 1

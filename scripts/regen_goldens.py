@@ -4,10 +4,14 @@
 Rewrites report.json, report.md and diagnostics.txt for the bundled
 corpus (in corpus/paper/golden/) and for each edge model
 tests/golden/<name>/model.psy (next to the model), from the current
-sources and tool version. Run from anywhere; paths are anchored at the
-repository root. Review the diff before committing.
+sources and tool version. Each golden is what the CLI writes:
+``report --format json|md --out <golden>``, and the stderr of ``check``.
+Run from anywhere; paths are anchored at the repository root. Review the
+diff before committing.
 """
 
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -15,25 +19,27 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from psysafe.diagnostics import format_diagnostic  # noqa: E402
-from psysafe.lints import LintConfig  # noqa: E402
-from psysafe.loader import load_model  # noqa: E402
-from psysafe.report import build_report, emit_json, emit_markdown  # noqa: E402
+from psysafe.cli import run  # noqa: E402
+
+
+def psysafe(*argv: str) -> str:
+    """Run one CLI command in process and return its stderr; stop unless
+    it exits 0 or 1 (findings)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code not in (0, 1):
+        sys.exit(f"psysafe {' '.join(argv)}: exit {code}\n{err.getvalue()}")
+    return err.getvalue()
 
 
 def write_goldens(files: list[Path], golden: Path) -> None:
-    model, allows = load_model(files)
-    config = LintConfig(allows=allows)
-
-    report = build_report(model, config)
-    (golden / "report.json").write_text(emit_json(report), encoding="utf-8")
-    (golden / "report.md").write_text(emit_markdown(report),
-                                      encoding="utf-8")
-
-    listing = "".join(format_diagnostic(d) + "\n"
-                      for d in report.diagnostics)
-    (golden / "diagnostics.txt").write_text(listing, encoding="utf-8")
-
+    names = [str(f) for f in files]
+    for fmt in ("json", "md"):
+        psysafe("report", *names, "--format", fmt,
+                "--out", str(golden / f"report.{fmt}"))
+    (golden / "diagnostics.txt").write_text(psysafe("check", *names),
+                                            encoding="utf-8")
     for name in ("report.json", "report.md", "diagnostics.txt"):
         print(f"wrote {golden / name}")
 

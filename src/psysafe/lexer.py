@@ -32,21 +32,17 @@ _KEYWORD, _IDENT, _STRING, _INT, _PUNCT = (
     TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.STRING, TokenKind.INT,
     TokenKind.PUNCT)
 
-#: Reserved words: every keyword and keyword-spelled enum value of the
-#: declaration table, plus the words of the ``analysis`` header and the
-#: entity property block, which the parser reads by hand.
+#: Reserved words: every keyword and keyword-spelled enum value of
+#: ``DECLS``, plus the words of the ``analysis`` header, read by hand.
 KEYWORDS = frozenset({
     "analysis", "sae_level", "boundary",
-    "human", "sa_level", "psych_state", "algorithm", "process_model",
     *(kw for spec in DECLS.values() for kw in spec.keywords),
-    *(f.keyword for spec in DECLS.values() for f in spec.fields
+    *(f.keyword for spec in DECLS.values() for f in spec.fields + spec.block
       if f.keyword is not None),
     *(spelling(m) for spec in DECLS.values() for f in spec.fields
       if not isinstance(f.form, Form) for m in f.form
       if isinstance(m.value, str)),
 })
-
-PUNCT_CHARS = frozenset("{}=,")
 
 #: One alternative per lexical class, told apart by the first character;
 #: none crosses a line end. A string body is the unrolled form of

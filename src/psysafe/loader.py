@@ -20,7 +20,8 @@ Allows = dict[tuple[str, int], frozenset[str]]
 
 
 class LoadError(DiagnosticError):
-    """Lexing, parsing, or resolution failed; carries every finding."""
+    """No input, an unreadable file, or lexing, parsing or merging failed;
+    carries every finding. Resolution raises ``model.ResolveError``."""
 
 
 def load_sources(sources: Sequence[tuple[str, str]]
@@ -28,7 +29,9 @@ def load_sources(sources: Sequence[tuple[str, str]]
     """Load a model from (name, text) pairs, in order.
 
     Raises :class:`LoadError` with the full diagnostic list when any file
-    fails to lex/parse or the concatenation fails to resolve.
+    fails to lex/parse or the files fail to merge, and
+    :class:`~psysafe.model.ResolveError` when the merged model fails to
+    resolve; both are :class:`DiagnosticError`.
     """
     diags: list[Diagnostic] = []
     parsed = []

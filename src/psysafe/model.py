@@ -242,7 +242,8 @@ class Form(enum.Enum):
     IDS = "identifier list"  # ``ID { "," ID }``, a frozenset once parsed
     STRING = "string"
     INT = "integer"
-    BLOCK = "entity block"  # ``{ ... }`` entity properties
+    BLOCK = "entity block"  # ``{ ... }`` of the declaration's block fields
+    FLAG = "flag"  # its keyword alone, which sets the attribute True
 
 
 def spelling(member: enum.Enum) -> str:
@@ -267,20 +268,9 @@ class Field(NamedTuple):
     optional: bool = False
     #: PSY000 message for an empty string or a zero.
     empty: str | None = None
-
-
-class Ref(NamedTuple):
-    """A field naming other declarations by ID (an ID or ID-list form).
-    Its first six fields are those of :class:`Field`."""
-
-    attr: str
-    form: Form
-    keyword: str | None = None
-    what: str | None = None
-    optional: bool = False
-    empty: str | None = None
-    #: Kinds the field may name, in message order; None accepts any
-    #: declared entity.
+    #: Kinds a reference field (an ID or ID-list form) may name, in message
+    #: order: None when the field is not a reference, () for any declared
+    #: entity.
     kinds: tuple[EntityKind, ...] | None = None
     #: Trace edge from the declaration to each target: one type, one per
     #: target kind, or None when the field is not traced.
@@ -295,14 +285,11 @@ class Ref(NamedTuple):
     @property
     def expected(self) -> str:
         """The accepted kinds as PSY011 messages spell them."""
-        if self.kinds is None:
-            return "entity"
-        return " or ".join(k.value for k in self.kinds)
+        return " or ".join(k.value for k in self.kinds) or "entity"
 
     def edge_to(self, kind: EntityKind | None) -> EdgeType | None:
-        if isinstance(self.edge, dict):
-            return self.edge.get(kind)
-        return self.edge
+        edge = self.edge
+        return edge.get(kind) if isinstance(edge, dict) else edge
 
 
 class Sealed:
@@ -330,14 +317,17 @@ class _DeclSpecFields(NamedTuple):
     fields: tuple[Field, ...]
     #: False for assessments, which are keyed by the hazard they rate.
     declares_id: bool = True
+    #: The entity block's properties, in print order. Each may repeat: the
+    #: last value wins, or all are kept if the record default is ``()``.
+    block: tuple[Field, ...] = ()
 
 
 class DeclSpec(Sealed, _DeclSpecFields):
     """What the model knows about one declaration type."""
 
     @cached_property
-    def refs(self) -> tuple[Ref, ...]:
-        return tuple(f for f in self.fields if isinstance(f, Ref))
+    def refs(self) -> tuple[Field, ...]:
+        return tuple(f for f in self.fields if f.kinds is not None)
 
     def items(self, model: AnalysisModel) -> Iterable:
         items = attrgetter(self.path)(model)
@@ -365,44 +355,50 @@ _DESCRIPTION = Field("description", _F.STRING)
 def _link(name: str) -> tuple[Field, ...]:
     """The fields of a control action or a feedback link."""
     return (_ID, Field("label", _F.STRING, what="edge label"),
-            Ref("source", _F.ID, "from", "entity ID", kinds=_NODES,
-                label=f"{name} source"),
-            Ref("target", _F.ID, "to", "entity ID", kinds=_NODES,
-                label=f"{name} target"))
+            Field("source", _F.ID, "from", "entity ID", kinds=_NODES,
+                  label=f"{name} source"),
+            Field("target", _F.ID, "to", "entity ID", kinds=_NODES,
+                  label=f"{name} target"))
 
 
 #: The single table of declaration types, in canonical print order. The
-#: parser reads each declaration by its fields and the printer writes it
-#: back from them; resolution checks every reference field against it,
-#: and the trace graph has one edge per traced reference. Stake holders
-#: and action/feedback endpoints are not traced.
+#: parser reads each declaration by its fields (and an entity's block by
+#: its block fields) and the printer writes it back from them; resolution
+#: checks every reference field against it and groups the declarations
+#: by path, and the trace graph has one edge per traced reference. Stake
+#: holders and action/feedback endpoints are not traced.
 DECLS: dict[type, DeclSpec] = {
     Stakeholder: DeclSpec(("stakeholder",), "stakeholders", _K.STAKEHOLDER, (
         _ID, Field("name", _F.STRING, what="stakeholder name",
                    empty="stakeholder name must not be empty"))),
     Stake: DeclSpec(("stake",), "stakes", _K.STAKE, (
         _ID, _DESCRIPTION,
-        Ref("holder", _F.ID, "of", "stakeholder ID",
-            kinds=(_K.STAKEHOLDER,)))),
+        Field("holder", _F.ID, "of", "stakeholder ID",
+              kinds=(_K.STAKEHOLDER,)))),
     Loss: DeclSpec(("loss",), "losses", _K.LOSS, (
         _ID, _DESCRIPTION,
-        Ref("violates", _F.IDS, "violates", kinds=(_K.STAKE,),
-            edge=_E.VIOLATES))),
+        Field("violates", _F.IDS, "violates", kinds=(_K.STAKE,),
+              edge=_E.VIOLATES))),
     Hazard: DeclSpec(("hazard",), "hazards", _K.HAZARD, (
         _ID, _DESCRIPTION,
-        Ref("leads_to", _F.IDS, "leads_to", kinds=(_K.LOSS,),
-            edge=_E.LEADS_TO),
+        Field("leads_to", _F.IDS, "leads_to", kinds=(_K.LOSS,),
+              edge=_E.LEADS_TO),
         Field("context", _F.STRING, "context", "context note",
               optional=True))),
     SafetyGoal: DeclSpec(("goal",), "goals", _K.GOAL, (
         _ID, _DESCRIPTION,
-        Ref("prevents", _F.IDS, "prevents", kinds=(_K.HAZARD,),
-            edge=_E.PREVENTS))),
+        Field("prevents", _F.IDS, "prevents", kinds=(_K.HAZARD,),
+              edge=_E.PREVENTS))),
     Entity: DeclSpec(("controller", "process"), "structure.entities", None, (
         _ID, Field("name", _F.STRING, what="entity name"),
         Field("level", _F.INT, "level", "hierarchy level",
               empty="hierarchy level must be 1 or greater"),
-        Field(None, _F.BLOCK, optional=True))),
+        Field(None, _F.BLOCK, optional=True)),
+        block=(Field("is_human", _F.FLAG, "human"),
+               Field("sa_level", _F.INT, "sa_level", "SA level"),
+               Field("psych_state", _F.STRING, "psych_state"),
+               Field("algorithm", _F.STRING, "algorithm"),
+               Field("process_model", _F.STRING, "process_model"))),
     ControlAction: DeclSpec(("action",), "structure.actions", _K.ACTION,
                             _link("action")),
     FeedbackLink: DeclSpec(("feedback",), "structure.feedbacks",
@@ -412,27 +408,27 @@ DECLS: dict[type, DeclSpec] = {
     Responsibility: DeclSpec(
         ("resp",), "responsibilities", _K.RESPONSIBILITY, (
             _ID, _DESCRIPTION,
-            Ref("assignee", _F.ID, "of", "entity ID", kinds=None,
-                edge=_E.ASSIGNED_TO),
-            Ref("derived_from", _F.IDS, "from", kinds=(_K.GOAL,),
-                edge=_E.DERIVED_FROM))),
+            Field("assignee", _F.ID, "of", "entity ID", kinds=(),
+                  edge=_E.ASSIGNED_TO),
+            Field("derived_from", _F.IDS, "from", kinds=(_K.GOAL,),
+                  edge=_E.DERIVED_FROM))),
     Uca: DeclSpec(("uca",), "ucas", _K.UCA, (
         _ID,
-        Ref("on", _F.ID, "on", "control action or feedback ID",
-            kinds=(_K.ACTION, _K.FEEDBACK), edge=_E.ON_ACTION),
+        Field("on", _F.ID, "on", "control action or feedback ID",
+              kinds=(_K.ACTION, _K.FEEDBACK), edge=_E.ON_ACTION),
         Field("kind", UcaKind, "kind", "UCA kind"),
         Field("context", _F.STRING, "context", "context"),
-        Ref("hazards", _F.IDS, "hazards", kinds=(_K.HAZARD,),
-            edge=_E.HAZARDS))),
+        Field("hazards", _F.IDS, "hazards", kinds=(_K.HAZARD,),
+              edge=_E.HAZARDS))),
     LossScenario: DeclSpec(("scenario",), "scenarios", _K.SCENARIO, (
         _ID,
-        Ref("for_ref", _F.ID, "for", "UCA or control action ID",
-            kinds=(_K.UCA, _K.ACTION), label="for",
-            edge={_K.UCA: _E.FOR_UCA, _K.ACTION: _E.FOR_ACTION}),
+        Field("for_ref", _F.ID, "for", "UCA or control action ID",
+              kinds=(_K.UCA, _K.ACTION), label="for",
+              edge={_K.UCA: _E.FOR_UCA, _K.ACTION: _E.FOR_ACTION}),
         Field("factor", CausalFactor, "factor", "causal factor"),
         _DESCRIPTION)),
     RiskAssessment: DeclSpec(("assess",), "assessments", None, (
-        Ref("hazard", _F.ID, what="hazard ID", kinds=(_K.HAZARD,)),
+        Field("hazard", _F.ID, what="hazard ID", kinds=(_K.HAZARD,)),
         Field("severity", SeverityClass, "severity", "severity class"),
         Field("exposure", ExposureClass, "exposure", "exposure class"),
         Field("controllability", ControllabilityClass, "controllability",
@@ -550,7 +546,7 @@ def resolve(model: RawModel) -> AnalysisModel:
                     diags.append(diag(
                         "PSY011", f"unknown {ref.expected} '{target}' "
                         f"referenced by {owner}", span, (owner, target)))
-                elif ref.kinds is not None and found not in ref.kinds:
+                elif ref.kinds and found not in ref.kinds:
                     diags.append(diag(
                         "PSY011", f"{ref.label or ref.attr} of {owner} "
                         f"must reference a {ref.expected}, but '{target}' "
@@ -559,33 +555,27 @@ def resolve(model: RawModel) -> AnalysisModel:
     if diags:
         raise ResolveError(diags)
 
-    # Pass 3: group by type into the resolved, ID-sorted model.
+    # Pass 3: group by type into the resolved model, each group at its
+    # path, sorted by its key or, when it declares no IDs, keyed by it.
     groups: dict[type, list] = {cls: [] for cls in DECLS}
     for decl, _ in model.decls:
         groups[type(decl)].append(decl)
-
-    def by_id(cls: type) -> tuple:
-        return tuple(sorted(groups[cls], key=lambda item: item.id))
-
-    scenarios = [s._replace(scenario_type=ScenarioType.UCA_OCCURRENCE
-                            if kinds[s.for_ref] is EntityKind.UCA
-                            else ScenarioType.IMPROPER_EXECUTION)
-                 for s in by_id(LossScenario)]
-    return AnalysisModel(
-        title=model.header.title,
-        sae_level=model.header.sae_level,
-        boundary=model.header.boundary,
-        stakeholders=by_id(Stakeholder),
-        stakes=by_id(Stake),
-        losses=by_id(Loss),
-        hazards=by_id(Hazard),
-        goals=by_id(SafetyGoal),
-        responsibilities=by_id(Responsibility),
-        structure=ControlStructure(entities=by_id(Entity),
-                                   actions=by_id(ControlAction),
-                                   feedbacks=by_id(FeedbackLink)),
-        ucas=by_id(Uca),
-        scenarios=tuple(scenarios),
-        assessments={a.hazard: a for a in groups[RiskAssessment]},
-        spans=spans,
-    )
+    groups[LossScenario] = [
+        s._replace(scenario_type=ScenarioType.UCA_OCCURRENCE
+                   if kinds[s.for_ref] is EntityKind.UCA
+                   else ScenarioType.IMPROPER_EXECUTION)
+        for s in groups[LossScenario]]
+    header = model.header
+    fields = {"title": header.title, "sae_level": header.sae_level,
+              "boundary": header.boundary, "spans": spans}
+    for cls, spec in DECLS.items():
+        key, items = attrgetter(spec.fields[0].attr), groups[cls]
+        value = (tuple(sorted(items, key=key)) if spec.declares_id
+                 else {key(item): item for item in items})
+        owner, _, attr = spec.path.rpartition(".")
+        if owner:  # a collection of a record held by the model
+            value = fields.get(owner, AnalysisModel._field_defaults[owner]
+                               )._replace(**{attr: value})
+            attr = owner
+        fields[attr] = value
+    return AnalysisModel(**fields)

@@ -8,7 +8,8 @@ declaration.
 The grammar is written out in ``docs/language.md``. Each declaration's
 syntax is not restated here: the parser walks the fields of its entry in
 :data:`psysafe.model.DECLS`, and the line reader compiles its patterns
-from them. Only the header and the entity block are read by hand.
+from them, and an entity's property block by its block fields. Only the
+header is read by hand.
 
 A single model may span several files: each file allows at most one
 ``analysis`` header (as its first construct), and merging enforces exactly
@@ -31,7 +32,7 @@ from typing import NamedTuple
 from .diagnostics import Diagnostic, SourceSpan, diag
 from .lexer import (_ESCAPE_RE, KEYWORDS, LexResult, Token, TokenKind,
                     _record_allow, tokenize)
-from .model import DECLS, DeclSpec, Form, spelling
+from .model import DECLS, Field, Form, spelling
 
 
 class RawHeader(NamedTuple):
@@ -154,7 +155,7 @@ class _Parser:
 
     def declaration(self, kw: Token):
         """Any declaration, read by walking the fields of its spec."""
-        cls, initial, steps = _PLANS[kw.text]
+        cls, initial, steps, _ = _PLANS[kw.text]
         values = dict(initial)
         for keyword, attr, read, args, optional in steps:
             if keyword is not None:
@@ -168,43 +169,29 @@ class _Parser:
         return cls(**values)
 
     def entity_block(self, kw: Token, values: dict) -> None:
-        """The optional ``{ ... }`` property block of an entity."""
+        """The optional ``{ ... }`` property block of an entity, read by
+        the block fields of its spec."""
         if not self.at("{"):
             return
         self.advance()
-        process_model: list[str] = []
-        while True:
+        cls, _, _, steps = _PLANS[kw.text]
+        while not self.at("}"):
             tok = self.peek()
             if tok is None:
                 self.fail("expected '}' to close entity block, "
                           "found end of file")
-            if tok.kind is TokenKind.PUNCT and tok.text == "}":
-                self.advance()
-                break
-            if tok.kind is not TokenKind.KEYWORD:
+            if tok.text not in steps:  # only keywords spell a property
                 self.fail(f"expected entity property, found {tok.text!r}")
-            if tok.text == "human":
-                self.advance()
-                values["is_human"] = True
-            elif tok.text == "sa_level":
-                self.advance()
-                sa_tok = self.expect(TokenKind.INT, "SA level")
-                if sa_tok.value not in (1, 2, 3):
-                    self.diagnostics.append(diag(
-                        "PSY000", "sa_level must be 1, 2, or 3",
-                        sa_tok.span))
-                values["sa_level"] = sa_tok.value
-            elif tok.text in ("psych_state", "algorithm"):
-                self.advance()
-                values[tok.text] = self.expect(TokenKind.STRING,
-                                               "string").value
-            elif tok.text == "process_model":
-                self.advance()
-                process_model.append(
-                    self.expect(TokenKind.STRING, "string").value)
-            else:
-                self.fail(f"expected entity property, found {tok.text!r}")
-        values["process_model"] = tuple(process_model)
+            _, attr, read, args, _ = steps[self.advance().text]
+            value = read(self, *args)
+            if attr == "sa_level" and value not in (1, 2, 3):
+                self.diagnostics.append(diag(
+                    "PSY000", "sa_level must be 1, 2, or 3",
+                    self.tokens[self.pos - 1].span))
+            if cls._field_defaults.get(attr) == ():  # keeps every value
+                value = values.get(attr, ()) + (value,)
+            values[attr] = value
+        self.advance()
         if not values.get("is_human") and (
                 values.get("sa_level") is not None
                 or values.get("psych_state") is not None):
@@ -267,13 +254,15 @@ _TOKEN_KINDS = {Form.ID: TokenKind.IDENT, Form.STRING: TokenKind.STRING,
                 Form.INT: TokenKind.INT}
 
 
-def _steps(spec: DeclSpec) -> tuple:
+def _steps(fields: tuple[Field, ...]) -> tuple:
     """(keyword, attribute, reader, reader arguments, optional) for each
-    field of ``spec``, worked out once so parsing does not redo it."""
+    field, worked out once so parsing does not redo it."""
     steps = []
-    for f in spec.fields:
+    for f in fields:
         if f.form is Form.BLOCK:
             read, args = _Parser.entity_block, ()
+        elif f.form is Form.FLAG:
+            read, args = (lambda parser: True), ()
         elif f.form is Form.IDS:
             read, args = _Parser.idlist, ()
         elif isinstance(f.form, Form):
@@ -286,13 +275,15 @@ def _steps(spec: DeclSpec) -> tuple:
     return tuple(steps)
 
 
-#: Declaration keyword -> (type, initial attributes, steps). Attributes
-#: that no field sets start as the keyword implies (``Entity.kind``) or
-#: as None (``LossScenario.scenario_type``, which resolution derives).
+#: Declaration keyword -> (type, initial attributes, steps, block steps
+#: by keyword). Attributes that no field sets start as the keyword implies
+#: (``Entity.kind``) or as None (``LossScenario.scenario_type``, which
+#: resolution derives).
 _PLANS = {
     keyword: (cls, {**dict.fromkeys(f for f in cls._fields
                                      if f not in cls._field_defaults),
-                    **spec.implied(keyword)}, _steps(spec))
+                    **spec.implied(keyword)}, _steps(spec.fields),
+              {step[0]: step for step in _steps(spec.block)})
     for cls, spec in DECLS.items() for keyword in spec.keywords}
 
 
@@ -333,7 +324,7 @@ def _line_readers() -> dict:
     """Keyword -> (fullmatch of the one-line form, type, initial values,
     (value index, converter, reported) per group, end group index)."""
     readers = {}
-    for keyword, (cls, initial, _) in _PLANS.items():
+    for keyword, (cls, initial, *_) in _PLANS.items():
         pattern, fields = [keyword], []
         for f in DECLS[cls].fields:
             if f.form is Form.BLOCK:

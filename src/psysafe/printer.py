@@ -26,16 +26,13 @@ def _ids(ids: frozenset[str] | tuple[str, ...]) -> str:
 
 def _entity_props(e: Entity) -> str:
     props: list[str] = []
-    if e.is_human:
-        props.append("human")
-    if e.sa_level is not None:
-        props.append(f"sa_level {e.sa_level}")
-    if e.psych_state is not None:
-        props.append(f"psych_state {_q(e.psych_state)}")
-    if e.algorithm is not None:
-        props.append(f"algorithm {_q(e.algorithm)}")
-    for pm in e.process_model:
-        props.append(f"process_model {_q(pm)}")
+    for f in DECLS[Entity].block:
+        value = getattr(e, f.attr)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is True:  # a flag
+                props.append(f.keyword)
+            elif v is not None and v is not False:
+                props.append(f"{f.keyword} {_FORMATS[f.form](v)}")
     return "{ " + " ".join(props) + " }" if props else ""
 
 
@@ -43,15 +40,12 @@ _FORMATS = {Form.ID: str, Form.IDS: _ids, Form.STRING: _q, Form.INT: str,
             Form.BLOCK: _entity_props}
 
 
-def _item(item):
-    return item
-
-
 #: (spec, sort key, (keyword, getter, formatter) per field) in table
 #: order, which is the canonical group order. The entity block formats
 #: the whole entity.
 _PLANS = [(spec, attrgetter(spec.fields[0].attr),
-           tuple((f.keyword, _item if f.attr is None else attrgetter(f.attr),
+           tuple((f.keyword,
+                  attrgetter(f.attr) if f.attr else lambda item: item,
                   _FORMATS[f.form] if isinstance(f.form, Form) else spelling)
                  for f in spec.fields))
           for spec in DECLS.values()]

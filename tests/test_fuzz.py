@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from psysafe import cli
 from psysafe.diagnostics import RULES, DiagnosticError
-from psysafe.lexer import KEYWORDS, PUNCT_CHARS, tokenize
+from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.lints import LintConfig, parse_config
 from psysafe.loader import load_sources
 
@@ -30,7 +30,7 @@ CORPUS_TOKENS = [tok.text for path in sorted(CORPUS_DIR.glob("*.psy"))
                                      path.name).tokens]
 #: Tokens a mutation may insert: every keyword and punctuation mark, plus
 #: identifiers, codes, strings and integers, valid and not.
-POOL = sorted(KEYWORDS) + sorted(PUNCT_CHARS) + [
+POOL = sorted(KEYWORDS) + sorted("{}=,") + [
     "SH_DRV", "ST1", "L1", "H1", "SG1", "UCA1", "X9", "S2", "E4", "C1",
     "S9", '"text"', '""', "0", "1", "7", '"open', "\\", "#"]
 

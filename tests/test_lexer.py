@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psysafe.diagnostics import SourceSpan
-from psysafe.lexer import Token, TokenKind, tokenize
+from psysafe.lexer import KEYWORDS, Token, TokenKind, tokenize
 
-from tests.conftest import FUZZ
+from tests.conftest import FUZZ, REPO_ROOT
 
 
 def kinds(text):
@@ -73,6 +73,18 @@ def test_integer_beyond_int_string_limit_is_a_diagnostic():
 
 def test_lint_is_not_reserved_in_models():
     assert kinds("lint") == [(TokenKind.IDENT, "lint")]
+
+
+def test_reserved_words_are_the_doc_grammar_terminals():
+    # The quoted terminals of docs/language.md's grammar, less punctuation
+    # and the S/E/C class codes, which lex as identifiers.
+    doc = (REPO_ROOT / "docs" / "language.md").read_text(encoding="utf-8")
+    grammar = re.search(r"## Grammar\n\n```\n(.*?)```", doc, re.S)[1]
+    terminals = set(re.findall(r'"([^"]+)"', grammar))
+    codes = {f"{c}{n}" for c, top in (("S", 3), ("E", 4), ("C", 3))
+             for n in range(1, top + 1)}
+    assert codes <= terminals
+    assert terminals - set("{}=,") - codes == KEYWORDS
 
 
 def test_escapes_decode():

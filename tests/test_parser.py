@@ -75,6 +75,35 @@ def test_entity_block_properties():
     assert veh.kind is EntityKind.PROCESS and not veh.is_human
 
 
+def test_repeated_block_properties():
+    # The last sa_level, psych_state or algorithm wins; process_model
+    # keeps every value, in source order.
+    model, diags = parse_text(
+        'controller DRV "Driver" level 1 { human sa_level 1 sa_level 3 '
+        'psych_state "calm" psych_state "tense" }\n'
+        'controller ADS "ADS" level 2 { algorithm "a" process_model "p2" '
+        'algorithm "b" process_model "p1" process_model "p2" }')
+    assert not diags
+    (drv, _), (ads, _) = model.decls
+    assert drv.sa_level == 3 and drv.psych_state == "tense"
+    assert ads.algorithm == "b"
+    assert ads.process_model == ("p2", "p1", "p2")
+
+
+def test_repeated_human_flag_parses_clean():
+    model, diags = parse_text('controller DRV "Driver" level 1 '
+                              '{ human human }')
+    assert not diags
+    assert model.decls[0][0].is_human
+
+
+def test_each_bad_sa_level_is_reported():
+    text = 'controller DRV "Driver" level 1 { human sa_level 4 sa_level 2 }'
+    _, diags = parse_text(text)
+    assert [(d.rule, d.message, d.span.start_col) for d in diags] == [
+        ("PSY000", "sa_level must be 1, 2, or 3", text.index("4") + 1)]
+
+
 def test_sa_level_on_non_human_is_an_error():
     _, diags = parse_text('controller C1 "c" level 1 { sa_level 2 }')
     assert len(diags) == 1

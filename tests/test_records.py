@@ -14,7 +14,7 @@ from psysafe.diagnostics import RULES, Diagnostic, Severity, SourceSpan
 from psysafe.lexer import LexResult, tokenize
 from psysafe.lints import LintConfig
 from psysafe.model import (DECLS, AnalysisModel, ControlAction, EntityKind,
-                           FeedbackLink, Field, Hazard, Loss, Ref)
+                           FeedbackLink, Field, Hazard, Loss)
 from psysafe.parser import parse
 from psysafe.psysil import psysil_table
 from psysafe.report import Report, build_report
@@ -128,10 +128,15 @@ def test_records_are_tuples():
 
 
 def test_refs_are_the_reference_fields():
-    # Ref is its own record, not a Field subclass.
+    # One record type for every field; the references are the fields
+    # whose kinds are set, and () accepts any declared entity.
     for spec in DECLS.values():
-        assert {type(f) for f in spec.fields} <= {Field, Ref}
-        assert spec.refs == tuple(f for f in spec.fields if type(f) is Ref)
+        assert {type(f) for f in spec.fields + spec.block} == {Field}
+        assert spec.refs == tuple(f for f in spec.fields
+                                  if f.kinds is not None)
+        assert all(f.kinds is None for f in spec.block)
+    assert [ref.attr for spec in DECLS.values() for ref in spec.refs
+            if not ref.kinds] == ["assignee"]
 
 
 def test_report_document_holds_no_record(corpus_model, corpus_config):
