@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens goldens bench bench-record bench-smoke importtime profile loc verify
+.PHONY: test acceptance regen-goldens goldens bench bench-ab bench-record bench-smoke importtime profile loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -38,6 +38,16 @@ SEED ?= 1
 
 bench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 25
+
+N ?= 10
+
+# Runs workload $(W) in $(N) pairs of perfbench runs, revision $(REV) (from
+# git archive) against this checkout, alternating which goes first, and
+# prints each metric's medians and this checkout's wins: see
+# scripts/bench_ab.py.
+bench-ab:
+	@test -n "$(REV)" || { echo "usage: make bench-ab REV=rev [W=workload] [N=10]" >&2; exit 2; }
+	python3 scripts/bench_ab.py $(REV) --workload $(W) --pairs $(N)
 
 # Runs every workload once and writes BENCH_$(PR).json: one JSON object
 # that maps each workload to the result line of perfbench/run.py. Stops,

@@ -21,6 +21,7 @@ canonical form). Setting ``NO_COLOR`` disables ANSI coloring.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -290,6 +291,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # A run keeps its records and makes little cyclic garbage, so collect
+    # rarely, past start-up's objects; callers of run() keep the default.
+    gc.freeze()
+    gc.set_threshold(100_000, 50, 1000)
     sys.exit(run(sys.argv[1:]))
 
 

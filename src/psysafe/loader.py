@@ -2,9 +2,10 @@
 
 Multiple input files form one model: each is read on its own (spans keep
 their own file names) by ``parser``'s token reader, which gives every
-diagnostic, and, for inputs over ``FAST_MIN_CHARS``, its line reader; they
-are concatenated in argument order before resolution. Lint suppressions
-from ``# psysafe-allow`` comments ride along keyed by (file, line).
+diagnostic, or, above ``FAST_MIN_CHARS``, by its line reader, which leaves
+it only the header and odd layouts. They are concatenated in argument
+order before resolution. Lint suppressions from ``# psysafe-allow``
+comments ride along keyed by (file, line).
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ A single model may span several files: each file allows at most one
 one header across the concatenation.
 
 :func:`read_source` has two readers. The token reader is :func:`tokenize`
-then :func:`parse`. The line reader builds each line that is a whole
-declaration straight from the match of its keyword's pattern, and hands
-every other run of lines to the token reader. Every diagnostic comes from
-the token reader over the whole file: on anything it would report, the
-line reader gives up and the token reader reads the whole file.
+then :func:`parse`. The line reader builds each declaration on one line,
+and each entity block whose properties each stand on one line with their
+values, straight from the matches of patterns, and records the allows of
+comment lines. Every other run of lines, such as the header, goes to the
+token reader. Every diagnostic comes from the token reader over the whole
+file: on anything it would report, the line reader gives up and the token
+reader reads the whole file.
 """
 
 from __future__ import annotations
@@ -184,20 +186,16 @@ class _Parser:
                 self.fail(f"expected entity property, found {tok.text!r}")
             _, attr, read, args, _ = steps[self.advance().text]
             value = read(self, *args)
-            if attr == "sa_level" and value not in (1, 2, 3):
-                self.diagnostics.append(diag(
-                    "PSY000", "sa_level must be 1, 2, or 3",
-                    self.tokens[self.pos - 1].span))
             if cls._field_defaults.get(attr) == ():  # keeps every value
                 value = values.get(attr, ()) + (value,)
             values[attr] = value
+            if message := _block_error(values, attr):
+                self.diagnostics.append(diag(
+                    "PSY000", message, self.tokens[self.pos - 1].span))
         self.advance()
-        if not values.get("is_human") and (
-                values.get("sa_level") is not None
-                or values.get("psych_state") is not None):
-            self.diagnostics.append(diag(
-                "PSY000", f"entity '{values['id']}' declares sa_level or "
-                "psych_state but is not marked human", self.decl_span(kw)))
+        if message := _block_error(values):
+            self.diagnostics.append(diag("PSY000", message,
+                                         self.decl_span(kw)))
 
     # -- driver -----------------------------------------------------------
 
@@ -250,6 +248,18 @@ class _Parser:
         return RawModel(header, tuple(decls))
 
 
+def _block_error(values: dict, attr: str | None = None) -> str | None:
+    """The PSY000 message, if any, of the property ``attr`` just read into
+    ``values`` or, with no ``attr``, of the closed entity block."""
+    if attr == "sa_level" and values[attr] not in (1, 2, 3):
+        return "sa_level must be 1, 2, or 3"
+    if attr is None and not values.get("is_human") and (
+            values.get("sa_level") is not None
+            or values.get("psych_state") is not None):
+        return (f"entity '{values['id']}' declares sa_level or psych_state "
+                "but is not marked human")
+
+
 _TOKEN_KINDS = {Form.ID: TokenKind.IDENT, Form.STRING: TokenKind.STRING,
                 Form.INT: TokenKind.INT}
 
@@ -300,9 +310,9 @@ def parse(tokens: list[Token],
     return model, p.diagnostics
 
 
-#: Runs of more characters take the line reader: its patterns cost ≈6 ms to
-#: compile and save ≈0.07 ms per 1k characters, breaking even at 50k-75k on
-#: perfbench/gen.py models (median of 31 runs, Python 3.11.7, 2-vCPU VM).
+#: Inputs of more characters take the line reader: its patterns cost ≈8 ms
+#: to compile and save ≈0.14 ms per 1k characters, breaking even at 59k-71k
+#: on perfbench/gen.py models (median of 31 runs, Python 3.11.7, 2-vCPU VM).
 FAST_MIN_CHARS = 65_536
 
 _ID = "[A-Za-z][A-Za-z0-9_.]*"
@@ -317,33 +327,81 @@ _CONVERT = {Form.ID: str, Form.INT: int,
 #: Whether the token reader reports a value: a keyword as an ID, and, for a
 #: field with an ``empty`` message, an empty string or a zero.
 _REPORTED = {Form.ID: KEYWORDS.__contains__, Form.IDS: KEYWORDS.intersection}
+#: The end of a line: perhaps the '}' of a block, perhaps a comment.
+_LINE_END = re.compile(r"[ \t]*(\})?[ \t]*(?:#(.*))?").fullmatch
+
+
+def _field_pattern(f: Field) -> tuple[str, object, object]:
+    """A field's pattern after the words before it, with one group for its
+    value (a flag's is its keyword), its converter and its reported test."""
+    if f.form is Form.FLAG:
+        return f"[ \t]+({f.keyword})", bool, None
+    if isinstance(f.form, Form):
+        value, convert = _VALUES[f.form], _CONVERT[f.form]
+    else:
+        spelled = {spelling(m): m for m in f.form}
+        value, convert = f"({'|'.join(spelled)})", spelled.__getitem__
+    return ((f"[ \t]+{f.keyword}" if f.keyword else "") + f"[ \t]+{value}",
+            convert, _REPORTED.get(f.form, f.empty and (lambda v: not v)))
 
 
 @cache
 def _line_readers() -> dict:
-    """Keyword -> (fullmatch of the one-line form, type, initial values,
-    (value index, converter, reported) per group, end group index)."""
+    """Keyword -> (fullmatch of its line, type, initial values, (value
+    index, converter, reported) per group, end group index, block).
+    ``block`` is (the group of the rest of the line after an entity's ``{``,
+    match of one property, (attribute, converter, keeps every value) per
+    property group), else None."""
     readers = {}
     for keyword, (cls, initial, *_) in _PLANS.items():
-        pattern, fields = [keyword], []
+        pattern, fields, block = [keyword], [], None
         for f in DECLS[cls].fields:
             if f.form is Form.BLOCK:
-                continue  # an entity with a block is read by the token reader
-            if isinstance(f.form, Form):
-                value, convert = _VALUES[f.form], _CONVERT[f.form]
-            else:
-                spelled = {spelling(m): m for m in f.form}
-                value, convert = f"({'|'.join(spelled)})", spelled.__getitem__
-            part = (f"[ \t]+{f.keyword}" if f.keyword else "") + \
-                f"[ \t]+{value}"
+                pattern.append(r"(?:[ \t]*\{(.*))?")
+                props = [_field_pattern(p) for p in DECLS[cls].block]
+                block = (len(fields) + 1, re.compile("|".join(
+                    part for part, *_ in props)).match, tuple(
+                    (p.attr, convert, cls._field_defaults.get(p.attr) == ())
+                    for p, (_, convert, _) in zip(DECLS[cls].block, props)))
+                continue
+            part, convert, reported = _field_pattern(f)
             pattern.append(f"(?:{part})?" if f.optional else part)
-            fields.append((cls._fields.index(f.attr), convert, _REPORTED.get(
-                f.form, f.empty and (lambda value: not value))))
+            fields.append((cls._fields.index(f.attr), convert, reported))
         readers[keyword] = (
             re.compile("".join(pattern) + r"()[ \t]*(?:#(.*))?").fullmatch,
             cls, [initial.get(f, cls._field_defaults.get(f))
-                  for f in cls._fields], fields, len(fields) + 1)
+                  for f in cls._fields], fields,
+            len(fields) + 1 + (block is not None), block)
     return readers
+
+
+def _read_block(lines: list[str], number: int, pos: int, values: dict,
+                item, props: tuple, res: LexResult) -> tuple[int, int] | None:
+    """Read into ``values`` the entity block whose ``{`` ends before
+    ``pos`` of line ``number`` and record its allows: the line and end
+    column of its ``}``, or None to leave it to the token reader (which
+    records them again). Each property is on one line with its value;
+    ``item`` and ``props`` are the last two entries of a reader's block."""
+    for number in range(number, len(lines) + 1):
+        line = lines[number - 1]
+        while m := item(line, pos):
+            attr, convert, keeps = props[m.lastindex - 1]
+            try:
+                value = convert(m[m.lastindex])
+            except ValueError:  # an integer too long
+                return None
+            values[attr] = values[attr] + (value,) if keeps else value
+            if _block_error(values, attr):
+                return None
+            pos = m.end()
+        if not (end := _LINE_END(line, pos)):
+            return None
+        if end[2] is not None:  # as the token reader would record it
+            _record_allow(res, end[2], number)
+        if end[1]:
+            return None if _block_error(values) else (number, end.end(1))
+        pos = 0
+    return None  # no '}'
 
 
 def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
@@ -356,13 +414,17 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
              else source.split("\n"))
     res, header, decls = LexResult([], [], {}), None, []
     first = 0  # first line of the open run; 0 when none is open
-    for number, line in enumerate([*lines, None], 1):
+    numbered = enumerate([*lines, None], 1)
+    for number, line in numbered:
         if line is not None:
             reader = readers.get(line.partition(" ")[0])
             m = reader and reader[0](line)
             if not m:
                 if not first and line.strip(" \t"):
-                    first = number
+                    if (end := _LINE_END(line)) and not end[1]:  # a comment
+                        _record_allow(res, end[2], number)
+                    else:
+                        first = number
                 continue
         if first:  # a header after an earlier run is after a declaration
             lex = tokenize("\n".join(lines[first - 1:number - 1]), file, first)
@@ -374,7 +436,7 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
             header, first = model.header or header, 0
         if line is None:
             break
-        _, cls, values, fields, end = reader
+        _, cls, values, fields, end, block = reader
         values = values.copy()
         for (index, convert, reported), text in zip(fields, m.groups()):
             if text is not None:  # else an absent optional field
@@ -384,17 +446,28 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
                     return None
                 if reported and reported(value):
                     return None
-        decls.append((cls(*values),
-                      SourceSpan(file, number, 1, number, m.end(end) + 1)))
-        if m[end + 1] is not None:
+        last, stop = number, m.end(end)
+        if block and m[block[0]] is not None:
+            named = dict(zip(cls._fields, values))
+            if not (read := _read_block(lines, number, m.start(block[0]),
+                                        named, *block[1:], res)):
+                first = number  # the block is a run from its first line
+                continue
+            (last, stop), values = read, named.values()
+            for _ in range(last - number):
+                next(numbered)  # the block's lines
+        elif m[end + 1] is not None:
             _record_allow(res, m[end + 1], number)
+        decls.append((cls(*values),
+                      SourceSpan(file, number, 1, last, stop + 1)))
     return RawModel(header, tuple(decls)), res.allows
 
 
 def read_source(source: str, file: str = "<input>", fast: bool = False
                 ) -> tuple[RawModel, list[Diagnostic], dict]:
     """One file's raw model, diagnostics and allows (line -> rule IDs).
-    ``fast`` tries the line reader first; the result is the same."""
+    ``fast`` tries the line reader first, which on clean inputs leaves the
+    token reader only the header; the result is the same."""
     if fast and (read := _read_lines(source, file)) is not None:
         return read[0], [], read[1]
     lex = tokenize(source, file)

@@ -295,6 +295,19 @@ def test_check_and_report_analyze_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_run_leaves_the_collector_as_it_found_it(capsys):
+    # Only the process entry point, cli.main, sets a collector policy.
+    import gc
+    from psysafe import cli
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    files = [str(REPO_ROOT / p) for p in CORPUS_ARGS]
+    for argv in (["check", *files], ["fmt", *files], ["--version"]):
+        assert cli.run(argv) == 0
+        assert (gc.isenabled(), gc.get_threshold(),
+                gc.get_freeze_count()) == state, argv
+    capsys.readouterr()
+
+
 def test_report_md_matches_golden():
     golden = (GOLDEN_DIR / "report.md").read_text(encoding="utf-8")
     proc = psysafe("report", "--format", "md", *CORPUS_ARGS)

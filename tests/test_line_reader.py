@@ -16,7 +16,7 @@ from psysafe import parser
 from psysafe.diagnostics import DiagnosticError
 from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.loader import load_model, load_sources
-from psysafe.model import DECLS, Form, spelling
+from psysafe.model import DECLS, Entity, Form, spelling
 from psysafe.parser import (_PLANS, FAST_MIN_CHARS, _line_readers,
                             _read_lines, parse, read_source)
 from psysafe.printer import print_canonical
@@ -140,6 +140,68 @@ def test_declaration_lines_read_alike(text):
     assert_same(text)
 
 
+#: Entity properties written from the block fields of ``DECLS`` with the
+#: values above, and one of them each way the token reader reports or
+#: reads alone: a bad value (an ``sa_level`` outside 1-3 among them) and
+#: a property split over two lines. ``human`` is placed apart.
+PROPS = [f"{f.keyword}{sep}{value}" for f in DECLS[Entity].block
+         if f.form is not Form.FLAG for sep in (" ", " ", "\t")
+         for value in (VALID | {Form.INT: ["1", "2", "3"]})[f.form]]
+ODD_PROPS = [f"{f.keyword} {value}" for f in DECLS[Entity].block
+             if f.form is not Form.FLAG for value in BAD[f.form]] + \
+    ["sa_level 12", "sa_level\n 2"]
+#: What may follow a line of a block: mostly nothing, else an allow, a
+#: comment or blanks.
+TAILS = [""] * 8 + ["  # psysafe-allow PSY004", "# note", " \t"]
+#: What may stand between two lines of a multi-line block: mostly nothing,
+#: else a blank line or a comment line.
+BETWEEN = [""] * 12 + ["\n", "  # psysafe-allow PSY005\n"]
+
+
+@st.composite
+def entity_blocks(draw):
+    """Entities with a block, in the one-line layout ``fmt`` prints and in
+    the one-property-a-line layout of the corpus, among declaration and
+    comment lines; some blocks are laid out otherwise or hold a value the
+    token reader reports."""
+    lines = ['analysis "t" { sae_level = 2 }', 'stakeholder SH1 "s"']
+    for n in range(draw(st.integers(1, 4))):
+        props = draw(st.lists(st.sampled_from(PROPS), max_size=4))
+        if draw(st.integers(0, 5)) == 0:
+            props.insert(draw(st.integers(0, len(props))),
+                         draw(st.sampled_from(ODD_PROPS)))
+        if draw(st.integers(0, 5)):  # else SA fields are reported
+            props.insert(draw(st.integers(0, len(props))), "human")
+        opener = (f'{draw(st.sampled_from(["controller", "process"]))} C{n} '
+                  f'"c" level {draw(st.sampled_from(["1", "3"]))}')
+        if draw(st.booleans()):
+            sep = draw(st.sampled_from([" "] * 4 + ["\t", "", "\n"]))
+            lines.append(f"{opener} {{{sep}" + "".join(
+                f"{p}{draw(st.sampled_from(SPACES + ['']))}" for p in props)
+                + "}" + draw(st.sampled_from(TAILS)))
+        else:
+            lines.append(opener + draw(st.sampled_from(
+                [" {"] * 6 + ["{", " {\t", "\n{"]))
+                + draw(st.sampled_from(TAILS)))
+            for p in props:
+                lines.append(draw(st.sampled_from(BETWEEN))
+                             + draw(st.sampled_from(["  "] * 4 + ["\t", ""]))
+                             + p + draw(st.sampled_from(TAILS)))
+            lines.append(draw(st.sampled_from(["}"] * 4 + ["  }", "\t}"]))
+                         + draw(st.sampled_from(TAILS)))
+        lines.append(draw(st.sampled_from(
+            ["", "", 'stake ST1 "s" of SH1', "# a comment line",
+             "  # psysafe-allow PSY006"])))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return "\n".join(lines).replace("\n", eol)
+
+
+@FUZZ
+@given(entity_blocks())
+def test_entity_blocks_read_alike(text):
+    assert_same(text)
+
+
 #: Words a line may hold: every keyword, punctuation, values valid and
 #: not, comments and line ends.
 SOUP = sorted(KEYWORDS) + ["{", "}", "=", ",", "SH1", "ST1", "L1", "H1",
@@ -185,6 +247,12 @@ FALLBACKS = {
     "BOM on line 2": 'stakeholder SH1 "s"\n\ufeffstakeholder SH2 "t"',
     "form feed between declarations":
         'stakeholder SH1 "s"\fstakeholder SH2 "t"',
+    "sa_level out of range": 'controller C1 "c" level 1 { human sa_level 4 }',
+    "SA field of a non-human entity":
+        'controller C1 "c" level 1 {\n  psych_state "calm"\n}',
+    "integer too long in a block":
+        'controller C1 "c" level 1 { human sa_level ' + "9" * 5000 + " }",
+    "block left open": 'controller C1 "c" level 1 {\n  human',
 }
 
 
@@ -205,17 +273,39 @@ def test_clean_files_take_the_line_reader(corpus_files):
         assert_same(text)
 
 
-def test_one_line_declarations_skip_the_token_reader(monkeypatch):
-    # The canonical form less its header: one declaration a line, and
-    # blank lines; entity blocks (and strings with a brace) left out.
-    text = print_canonical(random_model(3))
-    lines = [line for line in text.split("\n")[4:] if "{" not in line]
-    assert len(lines) > 20
-    text = "\n".join(lines).rstrip() + "  # psysafe-allow PSY004"
+def test_one_line_declarations_skip_the_token_reader(corpus_files,
+                                                    monkeypatch):
+    # The canonical form less its header: one declaration a line, entity
+    # blocks on one line, and blank lines; then the corpus structure file:
+    # comment lines and blocks of one property a line, with allows.
+    text = print_canonical(random_model(3)).split("\n}\n", 1)[1]
+    assert text.count(" { ") > 2
+    structure = next(path for path in corpus_files
+                     if path.name == "structure.psy")
+    text += structure.read_text(encoding="utf-8").replace(
+        "  sa_level 1", "  sa_level 1  # psysafe-allow PSY004").replace(
+        "level 2 {", "level 2 {  # psysafe-allow PSY005").replace(
+        "\n}\n", "\n}  # psysafe-allow PSY006\n", 1)
+    text = text.rstrip() + "  # psysafe-allow PSY007"
+    model, _, allows = token_reader(text, "t.psy")
+    assert len(allows) == 4
+    assert sum(isinstance(decl, Entity) for decl, _ in model.decls) > 4
     monkeypatch.setattr(parser, "tokenize", None)  # calling it would fail
-    model, allows = _read_lines(text, "t.psy")
-    assert len(model.decls) == len([line for line in lines if line])
-    assert allows == {text.count("\n") + 1: frozenset({"PSY004"})}
+    assert _read_lines(text, "t.psy") == (model, allows)
+
+
+def test_benchmark_inputs_reach_the_token_reader_only_for_the_header(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(
+        args[1:]) or tokenize(*args))
+    model = gen.generate(1, 6, "x", n_files=3)
+    for path, text in model.files:
+        read_source(text, path, fast=True)
+    path, text = model.files[0]
+    header = next(number for number, line in enumerate(text.split("\n"), 1)
+                  if line.startswith("analysis"))
+    assert calls == [(path, header)]
 
 
 def big_model(extra: str = "") -> str:
