@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens goldens bench bench-ab bench-record bench-smoke importtime profile loc verify
+.PHONY: test acceptance regen-goldens goldens bench bench-ab parity bench-record bench-smoke importtime profile loc verify
 
 test:
 	PYTHONPATH=src python3 -m pytest
@@ -48,6 +48,14 @@ N ?= 10
 bench-ab:
 	@test -n "$(REV)" || { echo "usage: make bench-ab REV=rev [W=workload] [N=10]" >&2; exit 2; }
 	python3 scripts/bench_ab.py $(REV) --workload $(W) --pairs $(N)
+
+# Runs the CLI ops of every workload, on inputs of seed $(SEED), with the
+# sources of revision $(REV) (from git archive) and of this checkout, and
+# prints per op whether exit code, stdout and stderr are the same; exits 1
+# on any difference: see scripts/parity.py.
+parity:
+	@test -n "$(REV)" || { echo "usage: make parity REV=rev [SEED=1]" >&2; exit 2; }
+	python3 scripts/parity.py $(REV) --seed $(SEED)
 
 # Runs every workload once and writes BENCH_$(PR).json: one JSON object
 # that maps each workload to the result line of perfbench/run.py. Stops,

@@ -32,6 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 25
 
 
+def archive(rev: str, dest: Path) -> Path:
+    """Write revision ``rev`` of this repository into ``dest``; return it."""
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
+    return dest
+
+
 def run_bench(root: Path, workload: str, seed: int) -> dict:
     """The metrics of one perfbench run in ``root``, by name."""
     shutil.rmtree(root / "src" / "psysafe" / "__pycache__",
@@ -62,11 +70,7 @@ def main() -> int:
     lower = {m["name"]: m["better"] == "lower"
              for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive,
-                       check=True)
+        base = archive(args.rev, Path(tmp))
         runs: dict[str, list] = {"base": [], "change": []}
         for i in range(args.pairs):
             seed = i % 3 + 1

@@ -90,22 +90,18 @@ class LexResult(NamedTuple):
     allows: dict[int, frozenset[str]]
 
 
-def tokenize(source: str, file: str = "<input>",
-             first_line: int = 1) -> LexResult:
+def tokenize(source: str, file: str = "<input>") -> LexResult:
     """Lex ``source`` into tokens, recovering from lexical errors.
 
     All non-whitespace, non-comment input is covered by tokens; on error a
     diagnostic is recorded and lexing continues on the next character or
     line. The token list never contains an EOF sentinel.
-
-    ``first_line`` numbers the first line of ``source``, a run of lines
-    from a larger file; a leading BOM is skipped only on line 1.
     """
     res = LexResult([], [], {})
     append = res.tokens.append
-    line = first_line
+    line = 1
     # Offset of the current line's first column; a leading BOM takes none.
-    line_start = 1 if first_line == 1 and source.startswith("\ufeff") else 0
+    line_start = 1 if source.startswith("\ufeff") else 0
     for m in _TOKEN_RE.finditer(source, line_start):
         kind = m.lastgroup
         if kind == "blank":

@@ -16,13 +16,13 @@ A single model may span several files: each file allows at most one
 one header across the concatenation.
 
 :func:`read_source` has two readers. The token reader is :func:`tokenize`
-then :func:`parse`. The line reader builds each declaration on one line,
-and each entity block whose properties each stand on one line with their
-values, straight from the matches of patterns, and records the allows of
-comment lines. Every other run of lines, such as the header, goes to the
-token reader. Every diagnostic comes from the token reader over the whole
-file: on anything it would report, the line reader gives up and the token
-reader reads the whole file.
+then :func:`parse`. The line reader reads declarations on one line and
+entity blocks of one property a line by patterns, skips blank lines and
+records the allows of comment lines. Any other line above the first such
+declaration opens the prelude (the header): lines 1 to that declaration,
+read by the token reader. Any other line after it, a diagnostic in the
+prelude or a prelude with no declaration after it sends the whole file to
+the token reader, so every diagnostic is the token reader's.
 """
 
 from __future__ import annotations
@@ -379,9 +379,9 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
                 item, props: tuple, res: LexResult) -> tuple[int, int] | None:
     """Read into ``values`` the entity block whose ``{`` ends before
     ``pos`` of line ``number`` and record its allows: the line and end
-    column of its ``}``, or None to leave it to the token reader (which
-    records them again). Each property is on one line with its value;
-    ``item`` and ``props`` are the last two entries of a reader's block."""
+    column of its ``}``, or None when the token reader must read the whole
+    file. Each property is on one line with its value; ``item`` and
+    ``props`` are the last two entries of a reader's block."""
     for number in range(number, len(lines) + 1):
         line = lines[number - 1]
         while m := item(line, pos):
@@ -396,8 +396,7 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
             pos = m.end()
         if not (end := _LINE_END(line, pos)):
             return None
-        if end[2] is not None:  # as the token reader would record it
-            _record_allow(res, end[2], number)
+        _record_allow(res, end[2] or "", number)  # as the lexer records it
         if end[1]:
             return None if _block_error(values) else (number, end.end(1))
         pos = 0
@@ -406,36 +405,32 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
 
 def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
     """The raw model and allows of ``source``, or None to read it whole
-    with the token reader, which also reads each run of lines no pattern
-    matches (a BOM on line 1 starts one; its lexer skips the BOM)."""
+    with the token reader, which otherwise reads only the prelude: lines 1
+    to the first declaration, if any is not blank or a comment."""
     readers = _line_readers()
     # The lexer's line ends; str.splitlines also splits at \f and others.
     lines = (re.split(r"\r\n?|\n", source) if "\r" in source
              else source.split("\n"))
     res, header, decls = LexResult([], [], {}), None, []
-    first = 0  # first line of the open run; 0 when none is open
-    numbered = enumerate([*lines, None], 1)
+    prelude = False  # whether a line before the first declaration is odd
+    numbered = enumerate(lines, 1)
     for number, line in numbered:
-        if line is not None:
-            reader = readers.get(line.partition(" ")[0])
-            m = reader and reader[0](line)
-            if not m:
-                if not first and line.strip(" \t"):
-                    if (end := _LINE_END(line)) and not end[1]:  # a comment
-                        _record_allow(res, end[2], number)
-                    else:
-                        first = number
-                continue
-        if first:  # a header after an earlier run is after a declaration
-            lex = tokenize("\n".join(lines[first - 1:number - 1]), file, first)
+        reader = readers.get(line.partition(" ")[0])
+        if not (m := reader and reader[0](line)):
+            if (end := _LINE_END(line)) and not end[1]:  # blank or a comment
+                _record_allow(res, end[2] or "", number)
+            elif decls:
+                return None
+            else:
+                prelude = True
+            continue
+        if prelude:
+            lex = tokenize("\n".join(lines[:number - 1]), file)
             model, diagnostics = parse(lex.tokens, file)
-            if lex.diagnostics or diagnostics or (model.header and decls):
+            if lex.diagnostics or diagnostics:
                 return None
             res.allows.update(lex.allows)
-            decls.extend(model.decls)
-            header, first = model.header or header, 0
-        if line is None:
-            break
+            header, decls, prelude = model.header, [*model.decls], False
         _, cls, values, fields, end, block = reader
         values = values.copy()
         for (index, convert, reported), text in zip(fields, m.groups()):
@@ -451,8 +446,7 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
             named = dict(zip(cls._fields, values))
             if not (read := _read_block(lines, number, m.start(block[0]),
                                         named, *block[1:], res)):
-                first = number  # the block is a run from its first line
-                continue
+                return None
             (last, stop), values = read, named.values()
             for _ in range(last - number):
                 next(numbered)  # the block's lines
@@ -460,14 +454,14 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
             _record_allow(res, m[end + 1], number)
         decls.append((cls(*values),
                       SourceSpan(file, number, 1, last, stop + 1)))
-    return RawModel(header, tuple(decls)), res.allows
+    return None if prelude else (RawModel(header, tuple(decls)), res.allows)
 
 
 def read_source(source: str, file: str = "<input>", fast: bool = False
                 ) -> tuple[RawModel, list[Diagnostic], dict]:
     """One file's raw model, diagnostics and allows (line -> rule IDs).
-    ``fast`` tries the line reader first, which on clean inputs leaves the
-    token reader only the header; the result is the same."""
+    ``fast`` tries the line reader first, which leaves the token reader the
+    header, or the whole file on odd layouts; the result is the same."""
     if fast and (read := _read_lines(source, file)) is not None:
         return read[0], [], read[1]
     lex = tokenize(source, file)

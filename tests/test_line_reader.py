@@ -3,7 +3,7 @@
 ``read_source(..., fast=True)`` must give exactly what ``tokenize`` then
 ``parse`` give over the whole file: the raw model with every span, the
 diagnostics and the allows. The properties call it directly, so the
-cut-off that keeps small runs on the token reader does not apply.
+cut-off that keeps small files on the token reader does not apply.
 """
 
 import sys
@@ -253,12 +253,28 @@ FALLBACKS = {
     "integer too long in a block":
         'controller C1 "c" level 1 { human sa_level ' + "9" * 5000 + " }",
     "block left open": 'controller C1 "c" level 1 {\n  human',
+    "prelude with no declaration after it":
+        'analysis "t" {\n  sae_level = 2 }\n# a comment',
+    "declaration continued after the first declaration":
+        'stakeholder SH1 "s"\nhazard H1 "h"\n  leads_to L1',
 }
 
 
 @pytest.mark.parametrize("text", FALLBACKS.values(), ids=FALLBACKS)
 def test_what_the_token_reader_would_report_falls_back(text):
     assert _read_lines(text, "t.psy") is None
+    assert_same(text)
+
+
+def test_a_continued_declaration_in_the_prelude_takes_the_line_reader(
+        monkeypatch):
+    prelude = 'hazard H1 "h"  # psysafe-allow PSY004\n  leads_to L1'
+    text = prelude + '\nstakeholder SH1 "s"'
+    calls = []
+    monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(
+        args) or tokenize(*args))
+    assert _read_lines(text, "t.psy") is not None
+    assert calls == [(prelude, "t.psy")]
     assert_same(text)
 
 
@@ -298,14 +314,15 @@ def test_benchmark_inputs_reach_the_token_reader_only_for_the_header(
         monkeypatch):
     calls = []
     monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(
-        args[1:]) or tokenize(*args))
+        args) or tokenize(*args))
     model = gen.generate(1, 6, "x", n_files=3)
     for path, text in model.files:
         read_source(text, path, fast=True)
     path, text = model.files[0]
-    header = next(number for number, line in enumerate(text.split("\n"), 1)
-                  if line.startswith("analysis"))
-    assert calls == [(path, header)]
+    lines = text.split("\n")
+    first = next(number for number, line in enumerate(lines)
+                 if line.partition(" ")[0] in _PLANS)
+    assert calls == [("\n".join(lines[:first]), path)]
 
 
 def big_model(extra: str = "") -> str:
@@ -342,15 +359,6 @@ def test_error_in_an_entity_block_after_line_reader_lines():
     assert line > 1000
     assert load_errors(text) == [
         (line, 18, "unsupported escape sequence '\\q'")]
-
-
-def test_region_line_numbers_start_where_the_region_starts():
-    lex = tokenize('\ufeffstake "x"\n  # psysafe-allow PSY004', "f", 41)
-    assert [(d.span.start_line, d.span.start_col) for d in lex.diagnostics] \
-        == [(41, 1)]
-    assert [(t.line, t.col) for t in lex.tokens] == [(41, 2), (41, 8)]
-    assert lex.allows == {42: frozenset({"PSY004"})}
-    assert not tokenize('\ufeffstake', "f").diagnostics
 
 
 def test_patterns_compile_once_and_only_for_large_inputs(corpus_files):

@@ -458,8 +458,8 @@ def test_recovery_stops_at_exactly_the_table_declaration_keywords():
 
 #: A declaration split across lines, and its last line: each reads as the
 #: same record as its one-line form. None of these continuation lines
-#: starts with a declaration keyword, so the line reader hands them all
-#: to the token reader.
+#: starts with a declaration keyword, so the line reader leaves each text
+#: whole to the token reader.
 SPLIT = [
     ('hazard H1 "h" leads_to L1\n  , L2', 2),
     ('hazard H1 "h" leads_to L1, L2\n  context "c"', 2),
