@@ -60,9 +60,11 @@ def _use_color() -> bool:
 
 
 def _print_diagnostics(diags: Sequence[Diagnostic]) -> None:
-    color = _use_color()
-    for d in diags:
-        print(format_diagnostic(d, color=color), file=sys.stderr)
+    # One write: stderr is line-buffered, so one system call per line else.
+    if diags:
+        color = _use_color()
+        sys.stderr.write("".join(f"{format_diagnostic(d, color=color)}\n"
+                                 for d in diags))
 
 
 def _findings_exit(diags: Sequence[Diagnostic], strict: bool) -> int:

@@ -1,7 +1,8 @@
 """Lexer for the ``.psy`` model language.
 
-Produces a flat token stream. Each token carries its file, line and
-column (1-based, in code points); its exact :class:`SourceSpan` is built on
+Produces a flat token stream by one pattern match per token, which also
+takes the blanks before it. Each token carries its file, line and column
+(1-based, in code points); its exact :class:`SourceSpan` is built on
 demand by :attr:`Token.span`, since only diagnostics and declaration spans
 ask for one. Comments start with ``#`` and run to the end of the line;
 ``# psysafe-allow PSYnnn`` comments are collected separately so lint
@@ -31,6 +32,9 @@ class TokenKind(enum.Enum):
 _KEYWORD, _IDENT, _STRING, _INT, _PUNCT = (
     TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.STRING, TokenKind.INT,
     TokenKind.PUNCT)
+#: Builds a record from a tuple of its fields without the Python frame of
+#: its ``__new__``.
+_new = tuple.__new__
 
 #: Reserved words: every keyword and keyword-spelled enum value of
 #: ``DECLS``, plus the words of the ``analysis`` header, read by hand.
@@ -44,20 +48,23 @@ KEYWORDS = frozenset({
       if isinstance(m.value, str)),
 })
 
-#: One alternative per lexical class, told apart by the first character;
-#: none crosses a line end. A string body is the unrolled form of
-#: ``([^"\\\r\n]|\\[^\r\n])*``. A backslash before the line end belongs
-#: to an unterminated string, but ``\`` after a closed one is illegal.
+#: Blanks, then one alternative per lexical class, told apart by the first
+#: character; none crosses a line end. Each class's group holds the whole
+#: token, so one match reads a token and the blanks before it. The end of
+#: the source counts as a line end, so trailing blanks match too. A string
+#: body is the unrolled form of ``([^"\\\r\n]|\\[^\r\n])*``. A backslash
+#: before the line end belongs to an unterminated string, but ``\`` after a
+#: closed one is illegal.
 _TOKEN_RE = re.compile(r"""
-    (?P<newline> \r\n?|\n )
-  | (?P<blank> [ \t]+ )
-  | \# (?P<comment> [^\r\n]* )
+    [ \t]* (?:
+    (?P<ident> [A-Za-z][A-Za-z0-9_.]* )
+  | (?P<newline> \r\n?|\n|\Z )
   | (?P<punct> [{}=,] )
+  | (?P<string> " (?P<body> [^"\\\r\n]* (?:\\[^\r\n][^"\\\r\n]*)* )
+      (?: (?P<closed> ") | \\? ) )
   | (?P<int> [0-9]+ )
-  | (?P<ident> [A-Za-z][A-Za-z0-9_.]* )
-  | " (?P<string> [^"\\\r\n]* (?:\\[^\r\n][^"\\\r\n]*)* )
-      (?: (?P<closed> ") | \\? )
-  | (?P<illegal> . )
+  | (?P<comment> \# [^\r\n]* )
+  | (?P<illegal> . ) )
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 #: A whole allow comment: ``psysafe-allow``, then nothing, or whitespace
@@ -93,9 +100,10 @@ class LexResult(NamedTuple):
 def tokenize(source: str, file: str = "<input>") -> LexResult:
     """Lex ``source`` into tokens, recovering from lexical errors.
 
-    All non-whitespace, non-comment input is covered by tokens; on error a
-    diagnostic is recorded and lexing continues on the next character or
-    line. The token list never contains an EOF sentinel.
+    One pattern match reads each token with the blanks before it, and
+    each line end. All non-whitespace, non-comment input is covered by
+    tokens; on error a diagnostic is recorded and lexing continues on the
+    next character or line. The token list never contains an EOF sentinel.
     """
     res = LexResult([], [], {})
     append = res.tokens.append
@@ -104,34 +112,32 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
     line_start = 1 if source.startswith("\ufeff") else 0
     for m in _TOKEN_RE.finditer(source, line_start):
         kind = m.lastgroup
-        if kind == "blank":
-            continue
         if kind == "newline":
             line += 1
             line_start = m.end()
             continue
-        text = m.group()
-        col = m.start() - line_start + 1
+        text = m.group(kind)
+        col = m.start(kind) - line_start + 1
         if kind == "ident":
-            append(Token(_KEYWORD if text in KEYWORDS else _IDENT, text,
-                         text, file, line, col))
+            append(_new(Token, (_KEYWORD if text in KEYWORDS else _IDENT,
+                                text, text, file, line, col)))
         elif kind == "punct":
-            append(Token(_PUNCT, text, None, file, line, col))
+            append(_new(Token, (_PUNCT, text, None, file, line, col)))
         elif kind == "int":
             try:
-                append(Token(_INT, text, int(text), file, line, col))
+                append(_new(Token, (_INT, text, int(text), file, line, col)))
             except ValueError:  # beyond the interpreter's int-string limit
                 res.diagnostics.append(diag(
                     "PSY000", f"integer literal too long ({len(text)} "
                     "digits)", _span(file, line, col, text)))
         elif kind == "comment":
-            _record_allow(res, m.group(kind), line)
+            _record_allow(res, text[1:], line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
                 "PSY000", f"illegal character {text!r}",
                 _span(file, line, col, text)))
         else:  # a string, closed or not
-            value = m.group("string")
+            value, closed = m.group("body", "closed")
             if "\\" in value:
                 for esc in _ESCAPE_RE.finditer(value):
                     if esc[1] not in '"\\':
@@ -143,13 +149,13 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                 # Only \" and \\ decode; other escapes stay as written.
                 value = _ESCAPE_RE.sub(
                     lambda e: e[1] if e[1] in '"\\' else e[0], value)
-            if m.group("closed") is None:
+            if closed is None:
                 # Unterminated: the match ran to the end of the line.
                 res.diagnostics.append(diag(
                     "PSY000", "unterminated string literal",
                     _span(file, line, col, text)))
             else:
-                append(Token(_STRING, text, value, file, line, col))
+                append(_new(Token, (_STRING, text, value, file, line, col)))
     return res
 
 

@@ -494,6 +494,14 @@ class AnalysisModel(Sealed, _AnalysisModelFields):
         return self._kinds.keys()
 
 
+#: Declaration type -> (getter, holds a list, kinds it may name, field)
+#: per reference field; a field that may name any entity allows every kind.
+_REF_CHECKS = {
+    cls: tuple((attrgetter(ref.attr), ref.form is Form.IDS,
+                ref.kinds or tuple(EntityKind), ref) for ref in spec.refs)
+    for cls, spec in DECLS.items()}
+
+
 class ResolveError(DiagnosticError):
     """Resolution failed; ``diagnostics`` lists every PSY011/PSY013 found."""
 
@@ -534,19 +542,20 @@ def resolve(model: RawModel) -> AnalysisModel:
         kinds[decl.id] = spec.kind or decl.kind
         spans[decl.id] = span
 
-    # Pass 2: reference checks.
+    # Pass 2: reference checks, worded only for a bad target.
     for decl, span in model.decls:
-        spec = DECLS[type(decl)]
-        owner = (decl.id if spec.declares_id
-                 else f"assessment of '{decl.hazard}'")
-        for ref in spec.refs:
-            for target in ref.targets(decl):
-                found = kinds.get(target)
+        for get, many, allowed, ref in _REF_CHECKS[type(decl)]:
+            targets = get(decl)
+            for target in targets if many else (targets,):
+                if (found := kinds.get(target)) in allowed:
+                    continue
+                owner = (decl.id if DECLS[type(decl)].declares_id
+                         else f"assessment of '{decl.hazard}'")
                 if found is None:
                     diags.append(diag(
                         "PSY011", f"unknown {ref.expected} '{target}' "
                         f"referenced by {owner}", span, (owner, target)))
-                elif ref.kinds and found not in ref.kinds:
+                else:
                     diags.append(diag(
                         "PSY011", f"{ref.label or ref.attr} of {owner} "
                         f"must reference a {ref.expected}, but '{target}' "

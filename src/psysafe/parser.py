@@ -7,33 +7,27 @@ declaration.
 
 The grammar is written out in ``docs/language.md``. Each declaration's
 syntax is not restated here: the parser walks the fields of its entry in
-:data:`psysafe.model.DECLS`, and the line reader compiles its patterns
-from them, and an entity's property block by its block fields. Only the
-header is read by hand.
+:data:`psysafe.model.DECLS`, and an entity's property block by its block
+fields, and :mod:`psysafe.linereader` compiles its patterns from them.
+Only the header is read by hand.
 
 A single model may span several files: each file allows at most one
 ``analysis`` header (as its first construct), and merging enforces exactly
 one header across the concatenation.
 
 :func:`read_source` has two readers. The token reader is :func:`tokenize`
-then :func:`parse`. The line reader reads declarations on one line and
-entity blocks of one property a line by patterns, skips blank lines and
-records the allows of comment lines. Any other line above the first such
-declaration opens the prelude (the header): lines 1 to that declaration,
-read by the token reader. Any other line after it, a diagnostic in the
-prelude or a prelude with no declaration after it sends the whole file to
-the token reader, so every diagnostic is the token reader's.
+then :func:`parse`. The line reader, :mod:`psysafe.linereader`, reads the
+usual layouts of large inputs by patterns, and leaves the token reader
+the header, or the whole file on an odd layout, so every diagnostic is the
+token reader's.
 """
 
 from __future__ import annotations
 
-import re
-from functools import cache
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
-from .lexer import (_ESCAPE_RE, KEYWORDS, LexResult, Token, TokenKind,
-                    _record_allow, tokenize)
+from .lexer import Token, TokenKind, tokenize
 from .model import DECLS, Field, Form, spelling
 
 
@@ -186,12 +180,12 @@ class _Parser:
                 self.fail(f"expected entity property, found {tok.text!r}")
             _, attr, read, args, _ = steps[self.advance().text]
             value = read(self, *args)
+            if (check := _PROPERTY_CHECKS.get(attr)) and not check[0](value):
+                self.diagnostics.append(diag(
+                    "PSY000", check[1], self.tokens[self.pos - 1].span))
             if cls._field_defaults.get(attr) == ():  # keeps every value
                 value = values.get(attr, ()) + (value,)
             values[attr] = value
-            if message := _block_error(values, attr):
-                self.diagnostics.append(diag(
-                    "PSY000", message, self.tokens[self.pos - 1].span))
         self.advance()
         if message := _block_error(values):
             self.diagnostics.append(diag("PSY000", message,
@@ -248,12 +242,15 @@ class _Parser:
         return RawModel(header, tuple(decls))
 
 
-def _block_error(values: dict, attr: str | None = None) -> str | None:
-    """The PSY000 message, if any, of the property ``attr`` just read into
-    ``values`` or, with no ``attr``, of the closed entity block."""
-    if attr == "sa_level" and values[attr] not in (1, 2, 3):
-        return "sa_level must be 1, 2, or 3"
-    if attr is None and not values.get("is_human") and (
+#: Entity property -> (whether a value is valid, PSY000 message when not):
+#: the checks of single properties, which both readers apply.
+_PROPERTY_CHECKS = {
+    "sa_level": ((1, 2, 3).__contains__, "sa_level must be 1, 2, or 3")}
+
+
+def _block_error(values: dict) -> str | None:
+    """The PSY000 message, if any, of the closed entity block ``values``."""
+    if not values.get("is_human") and (
             values.get("sa_level") is not None
             or values.get("psych_state") is not None):
         return (f"entity '{values['id']}' declares sa_level or psych_state "
@@ -310,160 +307,20 @@ def parse(tokens: list[Token],
     return model, p.diagnostics
 
 
-#: Inputs of more characters take the line reader: its patterns cost ≈8 ms
-#: to compile and save ≈0.14 ms per 1k characters, breaking even at 59k-71k
+#: Inputs of more characters take the line reader: its patterns cost ≈9 ms
+#: to compile and save ≈0.13 ms per 1k characters, breaking even at 74k-77k
 #: on perfbench/gen.py models (median of 31 runs, Python 3.11.7, 2-vCPU VM).
-FAST_MIN_CHARS = 65_536
-
-_ID = "[A-Za-z][A-Za-z0-9_.]*"
-#: A string allows only the escapes the lexer decodes, \" and \\.
-_VALUES = {Form.ID: f"({_ID})", Form.IDS: f"({_ID}(?:[ \t]*,[ \t]*{_ID})*)",
-           Form.INT: "([0-9]+)",
-           Form.STRING: r'"([^"\\]*(?:\\["\\][^"\\]*)*)"'}
-_CONVERT = {Form.ID: str, Form.INT: int,
-            Form.IDS: lambda t: frozenset(map(str.strip, t.split(","))),
-            Form.STRING: lambda t: _ESCAPE_RE.sub(r"\1", t) if "\\" in t
-            else t}
-#: Whether the token reader reports a value: a keyword as an ID, and, for a
-#: field with an ``empty`` message, an empty string or a zero.
-_REPORTED = {Form.ID: KEYWORDS.__contains__, Form.IDS: KEYWORDS.intersection}
-#: The end of a line: perhaps the '}' of a block, perhaps a comment.
-_LINE_END = re.compile(r"[ \t]*(\})?[ \t]*(?:#(.*))?").fullmatch
-
-
-def _field_pattern(f: Field) -> tuple[str, object, object]:
-    """A field's pattern after the words before it, with one group for its
-    value (a flag's is its keyword), its converter and its reported test."""
-    if f.form is Form.FLAG:
-        return f"[ \t]+({f.keyword})", bool, None
-    if isinstance(f.form, Form):
-        value, convert = _VALUES[f.form], _CONVERT[f.form]
-    else:
-        spelled = {spelling(m): m for m in f.form}
-        value, convert = f"({'|'.join(spelled)})", spelled.__getitem__
-    return ((f"[ \t]+{f.keyword}" if f.keyword else "") + f"[ \t]+{value}",
-            convert, _REPORTED.get(f.form, f.empty and (lambda v: not v)))
-
-
-@cache
-def _line_readers() -> dict:
-    """Keyword -> (fullmatch of its line, type, initial values, (value
-    index, converter, reported) per group, end group index, block).
-    ``block`` is (the group of the rest of the line after an entity's ``{``,
-    match of one property, (attribute, converter, keeps every value) per
-    property group), else None."""
-    readers = {}
-    for keyword, (cls, initial, *_) in _PLANS.items():
-        pattern, fields, block = [keyword], [], None
-        for f in DECLS[cls].fields:
-            if f.form is Form.BLOCK:
-                pattern.append(r"(?:[ \t]*\{(.*))?")
-                props = [_field_pattern(p) for p in DECLS[cls].block]
-                block = (len(fields) + 1, re.compile("|".join(
-                    part for part, *_ in props)).match, tuple(
-                    (p.attr, convert, cls._field_defaults.get(p.attr) == ())
-                    for p, (_, convert, _) in zip(DECLS[cls].block, props)))
-                continue
-            part, convert, reported = _field_pattern(f)
-            pattern.append(f"(?:{part})?" if f.optional else part)
-            fields.append((cls._fields.index(f.attr), convert, reported))
-        readers[keyword] = (
-            re.compile("".join(pattern) + r"()[ \t]*(?:#(.*))?").fullmatch,
-            cls, [initial.get(f, cls._field_defaults.get(f))
-                  for f in cls._fields], fields,
-            len(fields) + 1 + (block is not None), block)
-    return readers
-
-
-def _read_block(lines: list[str], number: int, pos: int, values: dict,
-                item, props: tuple, res: LexResult) -> tuple[int, int] | None:
-    """Read into ``values`` the entity block whose ``{`` ends before
-    ``pos`` of line ``number`` and record its allows: the line and end
-    column of its ``}``, or None when the token reader must read the whole
-    file. Each property is on one line with its value; ``item`` and
-    ``props`` are the last two entries of a reader's block."""
-    for number in range(number, len(lines) + 1):
-        line = lines[number - 1]
-        while m := item(line, pos):
-            attr, convert, keeps = props[m.lastindex - 1]
-            try:
-                value = convert(m[m.lastindex])
-            except ValueError:  # an integer too long
-                return None
-            values[attr] = values[attr] + (value,) if keeps else value
-            if _block_error(values, attr):
-                return None
-            pos = m.end()
-        if not (end := _LINE_END(line, pos)):
-            return None
-        _record_allow(res, end[2] or "", number)  # as the lexer records it
-        if end[1]:
-            return None if _block_error(values) else (number, end.end(1))
-        pos = 0
-    return None  # no '}'
-
-
-def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
-    """The raw model and allows of ``source``, or None to read it whole
-    with the token reader, which otherwise reads only the prelude: lines 1
-    to the first declaration, if any is not blank or a comment."""
-    readers = _line_readers()
-    # The lexer's line ends; str.splitlines also splits at \f and others.
-    lines = (re.split(r"\r\n?|\n", source) if "\r" in source
-             else source.split("\n"))
-    res, header, decls = LexResult([], [], {}), None, []
-    prelude = False  # whether a line before the first declaration is odd
-    numbered = enumerate(lines, 1)
-    for number, line in numbered:
-        reader = readers.get(line.partition(" ")[0])
-        if not (m := reader and reader[0](line)):
-            if (end := _LINE_END(line)) and not end[1]:  # blank or a comment
-                _record_allow(res, end[2] or "", number)
-            elif decls:
-                return None
-            else:
-                prelude = True
-            continue
-        if prelude:
-            lex = tokenize("\n".join(lines[:number - 1]), file)
-            model, diagnostics = parse(lex.tokens, file)
-            if lex.diagnostics or diagnostics:
-                return None
-            res.allows.update(lex.allows)
-            header, decls, prelude = model.header, [*model.decls], False
-        _, cls, values, fields, end, block = reader
-        values = values.copy()
-        for (index, convert, reported), text in zip(fields, m.groups()):
-            if text is not None:  # else an absent optional field
-                try:
-                    value = values[index] = convert(text)
-                except ValueError:  # an integer too long
-                    return None
-                if reported and reported(value):
-                    return None
-        last, stop = number, m.end(end)
-        if block and m[block[0]] is not None:
-            named = dict(zip(cls._fields, values))
-            if not (read := _read_block(lines, number, m.start(block[0]),
-                                        named, *block[1:], res)):
-                return None
-            (last, stop), values = read, named.values()
-            for _ in range(last - number):
-                next(numbered)  # the block's lines
-        elif m[end + 1] is not None:
-            _record_allow(res, m[end + 1], number)
-        decls.append((cls(*values),
-                      SourceSpan(file, number, 1, last, stop + 1)))
-    return None if prelude else (RawModel(header, tuple(decls)), res.allows)
-
+FAST_MIN_CHARS = 75_000
 
 def read_source(source: str, file: str = "<input>", fast: bool = False
                 ) -> tuple[RawModel, list[Diagnostic], dict]:
     """One file's raw model, diagnostics and allows (line -> rule IDs).
     ``fast`` tries the line reader first, which leaves the token reader the
     header, or the whole file on odd layouts; the result is the same."""
-    if fast and (read := _read_lines(source, file)) is not None:
-        return read[0], [], read[1]
+    if fast:
+        from .linereader import _read_lines  # compiled for large inputs only
+        if (read := _read_lines(source, file)) is not None:
+            return read[0], [], read[1]
     lex = tokenize(source, file)
     model, diagnostics = parse(lex.tokens, file)
     return model, lex.diagnostics + diagnostics, lex.allows

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from psysafe.diagnostics import SourceSpan
 from psysafe.lexer import KEYWORDS, Token, TokenKind, tokenize
 
+from tests import reference_lexer
 from tests.conftest import FUZZ, REPO_ROOT
 
 
@@ -258,3 +259,17 @@ def test_identifier_lexes_as_single_token(ident):
     tok: Token = res.tokens[0]
     assert tok.text == ident
     assert tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD)
+
+
+#: Pieces of lexer input: blanks, every line end, a BOM, the characters
+#: that open or end a token, words that make an allow comment, and
+#: non-ASCII characters.
+PIECES = [" ", "  ", "\t", "\r", "\n", "\r\n", "\ufeff", '"', "\\", "#",
+          "0", "42", "a", "Z9", "H1.x_y", "hazard", "{", "}", "=", ",", "@",
+          "psysafe-allow", "PSY004", "é", "٣", "\U0001F600"]
+
+
+@FUZZ
+@given(st.lists(st.sampled_from(PIECES), max_size=60).map("".join))
+def test_tokenize_matches_the_reference_lexer(text):
+    assert tokenize(text, "f.psy") == reference_lexer.tokenize(text, "f.psy")

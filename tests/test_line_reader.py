@@ -1,4 +1,4 @@
-"""The line reader of ``psysafe.parser`` against the token reader.
+"""The line reader, ``psysafe.linereader``, against the token reader.
 
 ``read_source(..., fast=True)`` must give exactly what ``tokenize`` then
 ``parse`` give over the whole file: the raw model with every span, the
@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from psysafe import parser
 from psysafe.diagnostics import DiagnosticError
 from psysafe.lexer import KEYWORDS, tokenize
+from psysafe.linereader import _line_readers, _read_lines
 from psysafe.loader import load_model, load_sources
 from psysafe.model import DECLS, Entity, Form, spelling
-from psysafe.parser import (_PLANS, FAST_MIN_CHARS, _line_readers,
-                            _read_lines, parse, read_source)
+from psysafe.parser import _PLANS, FAST_MIN_CHARS, parse, read_source
 from psysafe.printer import print_canonical
 
 from tests.conftest import FUZZ, REPO_ROOT
