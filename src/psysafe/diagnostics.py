@@ -33,9 +33,6 @@ class SourceSpan(NamedTuple):
     end_line: int
     end_col: int
 
-    def __str__(self) -> str:
-        return f"{self.file}:{self.start_line}:{self.start_col}"
-
 
 #: Span used for findings that do not originate from a source file
 #: (e.g. models built programmatically).

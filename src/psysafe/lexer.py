@@ -131,7 +131,7 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                     "PSY000", f"integer literal too long ({len(text)} "
                     "digits)", _span(file, line, col, text)))
         elif kind == "comment":
-            _record_allow(res, text[1:], line)
+            _record_allow(res.allows, text[1:], line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
                 "PSY000", f"illegal character {text!r}",
@@ -163,10 +163,10 @@ def _span(file: str, line: int, col: int, text: str) -> SourceSpan:
     return SourceSpan(file, line, col, line, col + len(text))
 
 
-def _record_allow(res: LexResult, comment: str, line: int) -> None:
+def _record_allow(allows: dict, comment: str, line: int) -> None:
     m = _ALLOW_RE.fullmatch(comment)
     if not m:
         return
     rules = frozenset(RULE_ID_RE.findall(m.group(1)))
     if rules:
-        res.allows[line] = res.allows.get(line, frozenset()) | rules
+        allows[line] = allows.get(line, frozenset()) | rules

@@ -17,10 +17,9 @@ import re
 from functools import cache
 
 from .diagnostics import SourceSpan
-from .lexer import _ESCAPE_RE, KEYWORDS, LexResult, _new, _record_allow
+from .lexer import _ESCAPE_RE, KEYWORDS, _new, _record_allow
 from .model import DECLS, Field, Form, spelling
-from .parser import (_PLANS, _PROPERTY_CHECKS, RawModel, _block_error,
-                     read_source)
+from .parser import _PLANS, RawModel, _block_error, read_source
 
 _ID = "[A-Za-z][A-Za-z0-9_.]*"
 #: A string allows only the escapes the lexer decodes, \" and \\.
@@ -55,8 +54,8 @@ def _field_pattern(f: Field) -> tuple[str, object]:
     value (a flag's is its keyword), and the converter of that group's
     text: None when the text is the value, as for an ID or a string with no
     escape. A converter raises ValueError on what the token reader would
-    report: a keyword in an ID list, an empty value, an integer too long, a
-    value that a check of ``_PROPERTY_CHECKS`` rejects."""
+    report: a keyword in an ID list, an integer too long, a value that the
+    field's ``check`` rejects."""
     if f.form is Form.FLAG:
         return f"[ \t]+({f.keyword})", bool
     if isinstance(f.form, Form):
@@ -65,10 +64,8 @@ def _field_pattern(f: Field) -> tuple[str, object]:
     else:
         spelled = {spelling(m): m for m in f.form}
         value, convert = f"({'|'.join(spelled)})", spelled.__getitem__
-    if f.empty:  # an empty string or a zero is reported
-        convert = _checked(convert or str, bool)
-    if check := _PROPERTY_CHECKS.get(f.attr):
-        convert = _checked(convert or str, check[0])
+    if f.check:
+        convert = _checked(convert or str, f.check[0])
     return ((f"[ \t]+{f.keyword}" if f.keyword else "") + f"[ \t]+{value}",
             convert)
 
@@ -121,7 +118,7 @@ def _line_readers() -> dict:
 
 
 def _read_block(lines: list[str], number: int, pos: int, values: dict,
-                item, props: tuple, res: LexResult) -> tuple[int, int] | None:
+                item, props: tuple, allows: dict) -> tuple[int, int] | None:
     """Read into ``values`` the entity block whose ``{`` ends before
     ``pos`` of line ``number`` and record its allows: the line and end
     column of its ``}``, or None when the token reader must read the whole
@@ -140,7 +137,7 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
         if not (end := _LINE_END(line, pos)):
             return None
         if end[2]:  # a comment, recorded as the lexer records it
-            _record_allow(res, end[2], number)
+            _record_allow(allows, end[2], number)
         if end[1]:
             return None if _block_error(values) else (number, end.end(1))
         pos = 0
@@ -155,7 +152,7 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
     # The lexer's line ends; str.splitlines also splits at \f and others.
     lines = (re.split(r"\r\n?|\n", source) if "\r" in source
              else source.split("\n"))
-    res, header, decls = LexResult([], [], {}), None, []
+    allows, header, decls = {}, None, []
     prelude = False  # whether a line before the first declaration is odd
     numbered = enumerate(lines, 1)
     for number, line in numbered:
@@ -163,18 +160,18 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
         if not (m := reader and reader[0](line)):
             if (end := _LINE_END(line)) and not end[1]:  # blank or a comment
                 if end[2]:
-                    _record_allow(res, end[2], number)
+                    _record_allow(allows, end[2], number)
             elif decls:
                 return None
             else:
                 prelude = True
             continue
         if prelude:
+            # The prelude's allows hold those recorded so far.
             model, diagnostics, allows = read_source(
                 "\n".join(lines[:number - 1]), file)
             if diagnostics:
                 return None
-            res.allows.update(allows)
             header, decls, prelude = model.header, [*model.decls], False
         _, cls, values, copies, converts, ids, strings, end, block = reader
         groups, values = m.groups(), values.copy()
@@ -193,16 +190,16 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
                 if values[index]:
                     values[index] = _unescape(values[index])
         if groups[-1]:  # a comment, unless a block opens
-            _record_allow(res, groups[-1], number)
+            _record_allow(allows, groups[-1], number)
         last, stop = number, m.end(end)
         if block and m[block[0]] is not None:
             named = dict(zip(cls._fields, values))
             if not (read := _read_block(lines, number, m.start(block[0]),
-                                        named, *block[1:], res)):
+                                        named, *block[1:], allows)):
                 return None
             (last, stop), values = read, named.values()
             for _ in range(last - number):
                 next(numbered)  # the block's lines
         decls.append((_new(cls, values),
                       _new(SourceSpan, (file, number, 1, last, stop + 1))))
-    return None if prelude else (RawModel(header, tuple(decls)), res.allows)
+    return None if prelude else (RawModel(header, tuple(decls)), allows)

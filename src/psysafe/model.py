@@ -17,7 +17,7 @@ import enum
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .diagnostics import (Diagnostic, DiagnosticError, SourceSpan,
                           SYNTHETIC_SPAN, diag)
@@ -219,8 +219,6 @@ class LossScenario(NamedTuple):
     id: str
     #: UCA (type 1) or control action (type 2) the scenario explains.
     for_ref: str
-    #: Left None by the parser; resolution derives it from ``for_ref``.
-    scenario_type: ScenarioType | None
     factor: CausalFactor
     description: str
 
@@ -266,8 +264,9 @@ class Field(NamedTuple):
     #: An optional field is present when its keyword (for the entity
     #: block, its ``{``) comes next.
     optional: bool = False
-    #: PSY000 message for an empty string or a zero.
-    empty: str | None = None
+    #: (whether a value is valid, PSY000 message when not) for an
+    #: identifier, string or integer value that both readers check.
+    check: tuple[Callable[[object], bool], str] | None = None
     #: Kinds a reference field (an ID or ID-list form) may name, in message
     #: order: None when the field is not a reference, () for any declared
     #: entity.
@@ -292,18 +291,9 @@ class Field(NamedTuple):
         return edge.get(kind) if isinstance(edge, dict) else edge
 
 
-class Sealed:
-    """Mixin for a record subclass that keeps a ``__dict__`` for its cached
-    properties: like the record, it takes no attribute assignment."""
+class DeclSpec(NamedTuple):
+    """What the model knows about one declaration type."""
 
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot set {name!r}: "
-                             f"{type(self).__name__} is immutable")
-
-
-class _DeclSpecFields(NamedTuple):
     #: Keywords that begin the declaration. Where there are several, the
     #: keyword also gives the declaration's ``kind``.
     keywords: tuple[str, ...]
@@ -321,11 +311,7 @@ class _DeclSpecFields(NamedTuple):
     #: last value wins, or all are kept if the record default is ``()``.
     block: tuple[Field, ...] = ()
 
-
-class DeclSpec(Sealed, _DeclSpecFields):
-    """What the model knows about one declaration type."""
-
-    @cached_property
+    @property
     def refs(self) -> tuple[Field, ...]:
         return tuple(f for f in self.fields if f.kinds is not None)
 
@@ -370,7 +356,7 @@ def _link(name: str) -> tuple[Field, ...]:
 DECLS: dict[type, DeclSpec] = {
     Stakeholder: DeclSpec(("stakeholder",), "stakeholders", _K.STAKEHOLDER, (
         _ID, Field("name", _F.STRING, what="stakeholder name",
-                   empty="stakeholder name must not be empty"))),
+                   check=(bool, "stakeholder name must not be empty")))),
     Stake: DeclSpec(("stake",), "stakes", _K.STAKE, (
         _ID, _DESCRIPTION,
         Field("holder", _F.ID, "of", "stakeholder ID",
@@ -392,10 +378,12 @@ DECLS: dict[type, DeclSpec] = {
     Entity: DeclSpec(("controller", "process"), "structure.entities", None, (
         _ID, Field("name", _F.STRING, what="entity name"),
         Field("level", _F.INT, "level", "hierarchy level",
-              empty="hierarchy level must be 1 or greater"),
+              check=(bool, "hierarchy level must be 1 or greater")),
         Field(None, _F.BLOCK, optional=True)),
         block=(Field("is_human", _F.FLAG, "human"),
-               Field("sa_level", _F.INT, "sa_level", "SA level"),
+               Field("sa_level", _F.INT, "sa_level", "SA level",
+                     check=((1, 2, 3).__contains__,
+                            "sa_level must be 1, 2, or 3")),
                Field("psych_state", _F.STRING, "psych_state"),
                Field("algorithm", _F.STRING, "algorithm"),
                Field("process_model", _F.STRING, "process_model"))),
@@ -459,13 +447,18 @@ class _AnalysisModelFields(NamedTuple):
     spans: Mapping[str, SourceSpan] = _EMPTY
 
 
-class AnalysisModel(Sealed, _AnalysisModelFields):
+class AnalysisModel(_AnalysisModelFields):
     """Fully resolved model; all cross-references are known to exist.
 
     Collections are sorted by entity ID, so two models with the same
     declarations compare equal regardless of declaration order. Source
-    spans are excluded from equality.
+    spans are excluded from equality. It keeps a ``__dict__`` for its
+    cached properties but, like the record, takes no attribute assignment.
     """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: "
+                             f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, AnalysisModel):
@@ -521,10 +514,12 @@ def resolve(model: RawModel) -> AnalysisModel:
                           SourceSpan("<input>", 1, 1, 1, 1)))
         raise ResolveError(diags)
 
-    # Pass 1: declaration kinds and duplicate IDs.
+    # Pass 1: declaration kinds and duplicate IDs; declarations by type.
     kinds: dict[str, EntityKind] = {}
     spans: dict[str, SourceSpan] = {}
+    groups: dict[type, list] = {cls: [] for cls in DECLS}
     for decl, span in model.decls:
+        groups[type(decl)].append(decl)
         spec = DECLS[type(decl)]
         if not spec.declares_id:
             key = f"assess {decl.hazard}"
@@ -564,16 +559,8 @@ def resolve(model: RawModel) -> AnalysisModel:
     if diags:
         raise ResolveError(diags)
 
-    # Pass 3: group by type into the resolved model, each group at its
-    # path, sorted by its key or, when it declares no IDs, keyed by it.
-    groups: dict[type, list] = {cls: [] for cls in DECLS}
-    for decl, _ in model.decls:
-        groups[type(decl)].append(decl)
-    groups[LossScenario] = [
-        s._replace(scenario_type=ScenarioType.UCA_OCCURRENCE
-                   if kinds[s.for_ref] is EntityKind.UCA
-                   else ScenarioType.IMPROPER_EXECUTION)
-        for s in groups[LossScenario]]
+    # Each group at its path, sorted by its key or, when it declares no
+    # IDs, keyed by it.
     header = model.header
     fields = {"title": header.title, "sae_level": header.sae_level,
               "boundary": header.boundary, "spans": spans}

@@ -102,12 +102,12 @@ class _Parser:
         self.pos = pos + 1
         return tok
 
-    def value(self, kind: TokenKind, what: str, empty: str | None = None):
-        """An identifier, string or integer; ``empty`` is the error for an
-        empty string or a zero."""
+    def value(self, kind: TokenKind, what: str, check: tuple | None = None):
+        """An identifier, string or integer; reports a value that fails
+        ``check``, its field's (valid, message) pair."""
         tok = self.expect(kind, what)
-        if empty is not None and not tok.value:
-            self.diagnostics.append(diag("PSY000", empty, tok.span))
+        if check and not check[0](tok.value):
+            self.diagnostics.append(diag("PSY000", check[1], tok.span))
         return tok.value
 
     def member(self, spelled: dict, what: str):
@@ -180,9 +180,6 @@ class _Parser:
                 self.fail(f"expected entity property, found {tok.text!r}")
             _, attr, read, args, _ = steps[self.advance().text]
             value = read(self, *args)
-            if (check := _PROPERTY_CHECKS.get(attr)) and not check[0](value):
-                self.diagnostics.append(diag(
-                    "PSY000", check[1], self.tokens[self.pos - 1].span))
             if cls._field_defaults.get(attr) == ():  # keeps every value
                 value = values.get(attr, ()) + (value,)
             values[attr] = value
@@ -205,7 +202,6 @@ class _Parser:
     def file_(self) -> RawModel:
         header: RawHeader | None = None
         decls: list[tuple[object, SourceSpan]] = []
-        first = True
         while not self.at_end():
             tok = self.peek()
             if tok.kind is TokenKind.KEYWORD and tok.text == "analysis":
@@ -214,15 +210,13 @@ class _Parser:
                     parsed = self.header(kw)
                 except _ParseFailure:
                     self.recover()
-                    first = False
                     continue
-                if header is not None or not first:
+                if kw is not self.tokens[0]:  # not the file's first construct
                     self.diagnostics.append(diag(
                         "PSY000", "analysis header must be the first and "
                         "only header of the model", parsed.span))
                 else:
                     header = parsed
-                first = False
                 continue
             if tok.kind is TokenKind.KEYWORD and tok.text in _PLANS:
                 kw = self.advance()
@@ -231,21 +225,13 @@ class _Parser:
                     decls.append((decl, self.decl_span(kw)))
                 except _ParseFailure:
                     self.recover()
-                first = False
                 continue
             self.diagnostics.append(diag(
                 "PSY000", f"expected a declaration, found {tok.text!r}",
                 tok.span))
             self.advance()
             self.recover()
-            first = False
         return RawModel(header, tuple(decls))
-
-
-#: Entity property -> (whether a value is valid, PSY000 message when not):
-#: the checks of single properties, which both readers apply.
-_PROPERTY_CHECKS = {
-    "sa_level": ((1, 2, 3).__contains__, "sa_level must be 1, 2, or 3")}
 
 
 def _block_error(values: dict) -> str | None:
@@ -274,7 +260,7 @@ def _steps(fields: tuple[Field, ...]) -> tuple:
             read, args = _Parser.idlist, ()
         elif isinstance(f.form, Form):
             read = _Parser.value
-            args = (_TOKEN_KINDS[f.form], f.what or f.form.value, f.empty)
+            args = (_TOKEN_KINDS[f.form], f.what or f.form.value, f.check)
         else:
             read = _Parser.member
             args = ({spelling(m): m for m in f.form}, f.what)
@@ -283,13 +269,10 @@ def _steps(fields: tuple[Field, ...]) -> tuple:
 
 
 #: Declaration keyword -> (type, initial attributes, steps, block steps
-#: by keyword). Attributes that no field sets start as the keyword implies
-#: (``Entity.kind``) or as None (``LossScenario.scenario_type``, which
-#: resolution derives).
+#: by keyword). The one attribute that no field sets, ``Entity.kind``,
+#: starts as the keyword implies.
 _PLANS = {
-    keyword: (cls, {**dict.fromkeys(f for f in cls._fields
-                                     if f not in cls._field_defaults),
-                    **spec.implied(keyword)}, _steps(spec.fields),
+    keyword: (cls, spec.implied(keyword), _steps(spec.fields),
               {step[0]: step for step in _steps(spec.block)})
     for cls, spec in DECLS.items() for keyword in spec.keywords}
 

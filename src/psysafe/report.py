@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import __version__
 from .diagnostics import Diagnostic
 from .lints import LintConfig, analyze
-from .model import AnalysisModel, UcaKind
+from .model import AnalysisModel, EntityKind, ScenarioType, UcaKind
 from .psysil import determine_psysil, goal_psysil
 from .structure import uca_category_coverage
 
@@ -218,8 +218,10 @@ def emit_markdown(report: Report) -> str:
 
     _section(out, "## Scenarios", ["ID", "For", "Type", "Factor",
                                    "Description"],
-             [[s.id, s.for_ref, s.scenario_type.value, s.factor.value,
-               s.description] for s in model.scenarios],
+             [[s.id, s.for_ref, (ScenarioType.UCA_OCCURRENCE
+                                 if model.kind_of(s.for_ref) is EntityKind.UCA
+                                 else ScenarioType.IMPROPER_EXECUTION).value,
+               s.factor.value, s.description] for s in model.scenarios],
              "No loss scenarios declared.")
 
     _section(out, "## Diagnostics", ["Location", "Severity", "Rule",

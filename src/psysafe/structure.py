@@ -55,7 +55,8 @@ def validate_structure(structure: ControlStructure,
                 f"controller {entity.id} declares no process_model",
                 span_of(entity.id), (entity.id,)))
 
-    for action in sorted(structure.actions, key=lambda a: a.id):
+    actions = sorted(structure.actions, key=lambda a: a.id)
+    for action in actions:
         src, dst = levels.get(action.source), levels.get(action.target)
         if src is not None and dst is not None and src > dst:
             diags.append(diag(
@@ -76,7 +77,7 @@ def validate_structure(structure: ControlStructure,
     feedback_adj: dict[str, set[str]] = {}
     for fb in structure.feedbacks:
         feedback_adj.setdefault(fb.source, set()).add(fb.target)
-    for action in sorted(structure.actions, key=lambda a: a.id):
+    for action in actions:
         if not _reachable(feedback_adj, action.target, action.source):
             diags.append(diag(
                 "PSY010",

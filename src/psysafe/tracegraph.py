@@ -1,4 +1,4 @@
-"""Typed traceability graph over all analysis artifacts.
+"""Typed traceability edges between the analysis artifacts.
 
 The graph contains one edge per reference that :data:`psysafe.model.DECLS`
 marks as traced, nothing synthesized: loss -> stake, hazard -> loss, goal
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import DECLS, AnalysisModel, EdgeType, EntityKind
+from .model import DECLS, AnalysisModel, EdgeType
 
 
 class TraceEdge(NamedTuple):
@@ -25,8 +25,6 @@ class TraceEdge(NamedTuple):
 
 
 class TraceGraph(NamedTuple):
-    #: entity ID -> declaration kind
-    nodes: tuple[tuple[str, EntityKind], ...]
     edges: tuple[TraceEdge, ...]
 
 
@@ -40,12 +38,10 @@ def _edges(model: AnalysisModel):
 
 
 def build_trace_graph(model: AnalysisModel) -> TraceGraph:
-    """One node per declared entity, one edge per traced reference."""
-    nodes = sorted((entity_id, model.kind_of(entity_id))
-                   for entity_id in model.entity_ids)
+    """One edge per traced reference, by source, edge type and target."""
     edges = sorted(_edges(model),
                    key=lambda e: (e.source, e.type.value, e.target))
-    return TraceGraph(tuple(nodes), tuple(edges))
+    return TraceGraph(tuple(edges))
 
 
 #: ``forward`` values of the traversals each direction takes

@@ -12,8 +12,8 @@ from psysafe.model import (AnalysisModel, CausalFactor, ControlAction,
                            ControllabilityClass, ControlStructure, Entity,
                            EntityKind, ExposureClass, FeedbackLink, Hazard,
                            Loss, LossScenario, Responsibility,
-                           RiskAssessment, SafetyGoal, ScenarioType,
-                           SeverityClass, Stake, Stakeholder, Uca, UcaKind)
+                           RiskAssessment, SafetyGoal, SeverityClass, Stake,
+                           Stakeholder, Uca, UcaKind)
 
 _WORDS = ["lane", "merge", "brake", "alert", "trust", "stress", "swerve",
           "takeover", "monitor", "warn", "drive", "sense"]
@@ -97,15 +97,12 @@ def random_model(seed: int) -> AnalysisModel:
                                      rng.randint(1, len(hazards))))))
 
     scenarios = []
-    for_candidates = [(u.id, ScenarioType.UCA_OCCURRENCE) for u in ucas] + \
-                     [(a.id, ScenarioType.IMPROPER_EXECUTION)
-                      for a in actions]
+    for_candidates = [u.id for u in ucas] + [a.id for a in actions]
     if for_candidates:
         for i in range(1, rng.randint(1, 4)):
-            ref, stype = rng.choice(for_candidates)
             scenarios.append(LossScenario(
-                f"SC{i}.a", ref, stype, rng.choice(list(CausalFactor)),
-                _text(rng)))
+                f"SC{i}.a", rng.choice(for_candidates),
+                rng.choice(list(CausalFactor)), _text(rng)))
 
     assessments = {}
     for hazard in hazards:

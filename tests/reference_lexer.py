@@ -50,7 +50,7 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                     "PSY000", f"integer literal too long ({len(text)} "
                     "digits)", _span(file, line, col, text)))
         elif kind == "comment":
-            _record_allow(res, m.group(kind), line)
+            _record_allow(res.allows, m.group(kind), line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
                 "PSY000", f"illegal character {text!r}",

@@ -35,7 +35,6 @@ def test_corpus_prevents_edges(corpus_model):
 def test_empty_model_gives_empty_graph():
     model, _ = load_sources([("t.psy", 'analysis "t" { sae_level = 2 }')])
     graph = build_trace_graph(model)
-    assert graph.nodes == ()
     assert graph.edges == ()
 
 
