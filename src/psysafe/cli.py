@@ -91,7 +91,7 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise DiagnosticError([diag(
             "PSY000", f"cannot read config file: {exc}",
-            SourceSpan(str(path), 1, 1, 1, 1))]) from exc
+            SourceSpan(str(path), 1, 1))]) from exc
     config, diags = parse_config(text, str(path))
     if any(d.severity is Severity.ERROR for d in diags):
         raise DiagnosticError(diags)

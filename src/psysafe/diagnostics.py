@@ -21,22 +21,20 @@ class Severity(enum.Enum):
 
 
 class SourceSpan(NamedTuple):
-    """Half-open region of a source file.
+    """Where a finding starts in a source file: its first character.
 
-    Lines and columns are 1-based; ``end_col`` points one past the last
-    character. Columns count Unicode scalar values, not bytes.
+    Lines and columns are 1-based. Columns count Unicode scalar values, not
+    bytes.
     """
 
     file: str
     start_line: int
     start_col: int
-    end_line: int
-    end_col: int
 
 
 #: Span used for findings that do not originate from a source file
 #: (e.g. models built programmatically).
-SYNTHETIC_SPAN = SourceSpan("<model>", 1, 1, 1, 1)
+SYNTHETIC_SPAN = SourceSpan("<model>", 1, 1)
 
 
 class LintRule(NamedTuple):

@@ -2,8 +2,8 @@
 
 Produces a flat token stream by one pattern match per token, which also
 takes the blanks before it. Each token carries its file, line and column
-(1-based, in code points); its exact :class:`SourceSpan` is built on
-demand by :attr:`Token.span`, since only diagnostics and declaration spans
+(1-based, in code points); its :class:`SourceSpan`, that start, is built
+on demand by :attr:`Token.span`, since only diagnostics and declarations
 ask for one. Comments start with ``#`` and run to the end of the line;
 ``# psysafe-allow PSYnnn`` comments are collected separately so lint
 suppression can be keyed to the line they appear on. Strings are
@@ -86,8 +86,8 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> SourceSpan:
-        """The token's source span, built on demand."""
-        return _span(self.file, self.line, self.col, self.text)
+        """Where the token starts: its last three fields, built on demand."""
+        return _new(SourceSpan, self[3:])
 
 
 class LexResult(NamedTuple):
@@ -129,13 +129,13 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
             except ValueError:  # beyond the interpreter's int-string limit
                 res.diagnostics.append(diag(
                     "PSY000", f"integer literal too long ({len(text)} "
-                    "digits)", _span(file, line, col, text)))
+                    "digits)", SourceSpan(file, line, col)))
         elif kind == "comment":
             _record_allow(res.allows, text[1:], line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
                 "PSY000", f"illegal character {text!r}",
-                _span(file, line, col, text)))
+                SourceSpan(file, line, col)))
         else:  # a string, closed or not
             value, closed = m.group("body", "closed")
             if "\\" in value:
@@ -144,8 +144,7 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                         c = col + 1 + esc.start()
                         res.diagnostics.append(diag(
                             "PSY000", f"unsupported escape sequence "
-                            f"'{esc[0]}'", SourceSpan(file, line, c, line,
-                                                      c + 2)))
+                            f"'{esc[0]}'", SourceSpan(file, line, c)))
                 # Only \" and \\ decode; other escapes stay as written.
                 value = _ESCAPE_RE.sub(
                     lambda e: e[1] if e[1] in '"\\' else e[0], value)
@@ -153,14 +152,10 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                 # Unterminated: the match ran to the end of the line.
                 res.diagnostics.append(diag(
                     "PSY000", "unterminated string literal",
-                    _span(file, line, col, text)))
+                    SourceSpan(file, line, col)))
             else:
                 append(_new(Token, (_STRING, text, value, file, line, col)))
     return res
-
-
-def _span(file: str, line: int, col: int, text: str) -> SourceSpan:
-    return SourceSpan(file, line, col, line, col + len(text))
 
 
 def _record_allow(allows: dict, comment: str, line: int) -> None:

@@ -72,23 +72,23 @@ def _field_pattern(f: Field) -> tuple[str, object]:
 
 @cache
 def _line_readers() -> dict:
-    """Keyword -> (fullmatch of its line, type, initial values, (record
-    slice, group slice) per run of fields in both orders, (value index,
+    """Keyword -> (fullmatch of its line, type, number n of its line
+    fields, the record's values after its first n, (value index,
     converter) per field that has one, value indices of its IDs and of its
-    strings, end group index, block). Optional fields are strings: an
-    absent one leaves its group None, the record default. ``block`` is (the
-    group of the rest of the line after an entity's ``{``, match of one
-    property, (attribute, converter, keeps every value) per property
-    group), else None."""
+    strings, block). Group i + 1 holds the value of line field i, which is
+    record field i. Optional fields are strings: an absent one leaves its
+    group None, the record default. ``block`` is (the group of the rest of
+    the line after an entity's ``{``, match of one property, (attribute,
+    converter, keeps every value) per property group), else None."""
     readers = {}
     for keyword, (cls, initial, *_) in _PLANS.items():
-        pattern, indices, converts, block = [keyword], [], [], None
+        pattern, converts, block = [keyword], [], None
         ids, strings = [], []
-        for f in DECLS[cls].fields:
-            if f.form is Form.BLOCK:
+        for index, f in enumerate(DECLS[cls].fields):
+            if f.form is Form.BLOCK:  # the last field
                 pattern.append(r"(?:[ \t]*\{(.*))?")
                 props = [_field_pattern(p) for p in DECLS[cls].block]
-                block = (len(indices) + 1, re.compile("|".join(
+                block = (index + 1, re.compile("|".join(
                     part for part, _ in props)).match, tuple(
                     (p.attr, convert or _unescape,
                      cls._field_defaults.get(p.attr) == ())
@@ -96,34 +96,28 @@ def _line_readers() -> dict:
                 continue
             part, convert = _field_pattern(f)
             pattern.append(f"(?:{part})?" if f.optional else part)
-            index = cls._fields.index(f.attr)
-            indices.append(index)
             if convert:
                 converts.append((index, convert))
             if f.form is Form.ID:
                 ids.append(index)
             elif f.form is Form.STRING:
                 strings.append(index)
-        cuts = [0, *(g for g in range(1, len(indices))
-                     if indices[g] != indices[g - 1] + 1), len(indices)]
+        n = len(DECLS[cls].fields) - (block is not None)
         readers[keyword] = (
-            re.compile("".join(pattern) + r"()[ \t]*(?:#(.*))?").fullmatch,
-            cls, [initial.get(f, cls._field_defaults.get(f))
-                  for f in cls._fields],
-            tuple((slice(indices[a], indices[a] + b - a), slice(a, b))
-                  for a, b in zip(cuts, cuts[1:])), tuple(converts),
-            tuple(ids), tuple(strings),
-            len(indices) + 1 + (block is not None), block)
+            re.compile("".join(pattern) + r"[ \t]*(?:#(.*))?").fullmatch,
+            cls, n, [initial.get(f, cls._field_defaults.get(f))
+                     for f in cls._fields[n:]], tuple(converts),
+            tuple(ids), tuple(strings), block)
     return readers
 
 
 def _read_block(lines: list[str], number: int, pos: int, values: dict,
-                item, props: tuple, allows: dict) -> tuple[int, int] | None:
+                item, props: tuple, allows: dict) -> int | None:
     """Read into ``values`` the entity block whose ``{`` ends before
-    ``pos`` of line ``number`` and record its allows: the line and end
-    column of its ``}``, or None when the token reader must read the whole
-    file. Each property is on one line with its value; ``item`` and
-    ``props`` are the last two entries of a reader's block."""
+    ``pos`` of line ``number`` and record its allows: the line of its
+    ``}``, or None when the token reader must read the whole file. Each
+    property is on one line with its value; ``item`` and ``props`` are the
+    last two entries of a reader's block."""
     for number in range(number, len(lines) + 1):
         line = lines[number - 1]
         while m := item(line, pos):
@@ -139,7 +133,7 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
         if end[2]:  # a comment, recorded as the lexer records it
             _record_allow(allows, end[2], number)
         if end[1]:
-            return None if _block_error(values) else (number, end.end(1))
+            return None if _block_error(values) else number
         pos = 0
     return None  # no '}'
 
@@ -173,10 +167,9 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
             if diagnostics:
                 return None
             header, decls, prelude = model.header, [*model.decls], False
-        _, cls, values, copies, converts, ids, strings, end, block = reader
-        groups, values = m.groups(), values.copy()
-        for to, of in copies:
-            values[to] = groups[of]
+        _, cls, n, rest, converts, ids, strings, block = reader
+        groups = m.groups()
+        values = [*groups[:n], *rest]
         try:
             for index, convert in converts:
                 values[index] = convert(values[index])
@@ -191,15 +184,13 @@ def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
                     values[index] = _unescape(values[index])
         if groups[-1]:  # a comment, unless a block opens
             _record_allow(allows, groups[-1], number)
-        last, stop = number, m.end(end)
         if block and m[block[0]] is not None:
             named = dict(zip(cls._fields, values))
-            if not (read := _read_block(lines, number, m.start(block[0]),
+            if not (last := _read_block(lines, number, m.start(block[0]),
                                         named, *block[1:], allows)):
                 return None
-            (last, stop), values = read, named.values()
+            values = named.values()
             for _ in range(last - number):
                 next(numbered)  # the block's lines
-        decls.append((_new(cls, values),
-                      _new(SourceSpan, (file, number, 1, last, stop + 1))))
+        decls.append((_new(cls, values), _new(SourceSpan, (file, number, 1))))
     return None if prelude else (RawModel(header, tuple(decls)), allows)

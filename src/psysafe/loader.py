@@ -57,7 +57,7 @@ def load_model(paths: Sequence[str | Path]
     """Load one model from ``.psy`` files, concatenated in argument order."""
     if not paths:
         raise LoadError([diag("PSY000", "no input files",
-                              SourceSpan("<input>", 1, 1, 1, 1))])
+                              SourceSpan("<input>", 1, 1))])
     sources = []
     for path in paths:
         name = str(path)
@@ -66,6 +66,6 @@ def load_model(paths: Sequence[str | Path]
         except (OSError, UnicodeDecodeError) as exc:
             raise LoadError([diag(
                 "PSY000", f"cannot read file: {exc}",
-                SourceSpan(name, 1, 1, 1, 1))]) from exc
+                SourceSpan(name, 1, 1))]) from exc
         sources.append((name, text))
     return load_sources(sources)

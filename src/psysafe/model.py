@@ -303,7 +303,8 @@ class DeclSpec(NamedTuple):
     #: says it, and for assessments, which declare none.
     kind: EntityKind | None
     #: The values after the keyword, in source order; the first is the
-    #: declaration's key.
+    #: declaration's key. They set the record's first fields, in order;
+    #: the entity block comes last and its fields follow ``kind``.
     fields: tuple[Field, ...]
     #: False for assessments, which are keyed by the hazard they rate.
     declares_id: bool = True
@@ -511,7 +512,7 @@ def resolve(model: RawModel) -> AnalysisModel:
 
     if model.header is None:
         diags.append(diag("PSY000", "model has no analysis header",
-                          SourceSpan("<input>", 1, 1, 1, 1)))
+                          SourceSpan("<input>", 1, 1)))
         raise ResolveError(diags)
 
     # Pass 1: declaration kinds and duplicate IDs; declarations by type.

@@ -78,9 +78,8 @@ class _Parser:
     def _end_span(self) -> SourceSpan:
         if self.tokens:
             last = self.tokens[-1]
-            end = last.col + len(last.text)
-            return SourceSpan(self.file, last.line, end, last.line, end)
-        return SourceSpan(self.file, 1, 1, 1, 1)
+            return SourceSpan(self.file, last.line, last.col + len(last.text))
+        return SourceSpan(self.file, 1, 1)
 
     def fail(self, message: str, span: SourceSpan | None = None):
         if span is None:
@@ -125,11 +124,6 @@ class _Parser:
             ids.append(self.expect(TokenKind.IDENT, "identifier").text)
         return frozenset(ids)
 
-    def decl_span(self, start: Token) -> SourceSpan:
-        prev = self.tokens[self.pos - 1]
-        return SourceSpan(self.file, start.line, start.col, prev.line,
-                          prev.col + len(prev.text))
-
     # -- declarations -----------------------------------------------------
 
     def header(self, kw: Token) -> RawHeader:
@@ -147,7 +141,7 @@ class _Parser:
             self.advance()
             boundary = self.expect(TokenKind.STRING, "boundary note").value
         self.expect(TokenKind.PUNCT, "'}'", "}")
-        return RawHeader(title, sae_tok.value, boundary, self.decl_span(kw))
+        return RawHeader(title, sae_tok.value, boundary, kw.span)
 
     def declaration(self, kw: Token):
         """Any declaration, read by walking the fields of its spec."""
@@ -185,8 +179,7 @@ class _Parser:
             values[attr] = value
         self.advance()
         if message := _block_error(values):
-            self.diagnostics.append(diag("PSY000", message,
-                                         self.decl_span(kw)))
+            self.diagnostics.append(diag("PSY000", message, kw.span))
 
     # -- driver -----------------------------------------------------------
 
@@ -222,7 +215,7 @@ class _Parser:
                 kw = self.advance()
                 try:
                     decl = self.declaration(kw)
-                    decls.append((decl, self.decl_span(kw)))
+                    decls.append((decl, kw.span))
                 except _ParseFailure:
                     self.recover()
                 continue
@@ -323,7 +316,7 @@ def merge_raw_models(models: list[tuple[str, RawModel]]) \
         diagnostics.append(diag(
             "PSY000", "no analysis header found; a model starts with "
             "'analysis \"title\" { sae_level = N }'",
-            SourceSpan(first, 1, 1, 1, 1)))
+            SourceSpan(first, 1, 1)))
         header = None
     else:
         header = headers[0][1]

@@ -8,7 +8,6 @@ intermediate levels, that closes its loop.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
@@ -77,8 +76,11 @@ def validate_structure(structure: ControlStructure,
     feedback_adj: dict[str, set[str]] = {}
     for fb in structure.feedbacks:
         feedback_adj.setdefault(fb.source, set()).add(fb.target)
+    bits = {source: 1 << i for i, source in
+            enumerate(dict.fromkeys(a.source for a in actions))}
+    masks = _reach_masks(feedback_adj, bits, [a.target for a in actions])
     for action in actions:
-        if not _reachable(feedback_adj, action.target, action.source):
+        if not masks[action.target] & bits[action.source]:
             diags.append(diag(
                 "PSY010",
                 f"open control loop: no feedback path from "
@@ -89,20 +91,50 @@ def validate_structure(structure: ControlStructure,
     return diags
 
 
-def _reachable(adj: dict[str, set[str]], start: str, goal: str) -> bool:
-    if start == goal:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj.get(node, ()):
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+def _reach_masks(adj: dict[str, set[str]], bits: dict[str, int],
+                 starts: list[str]) -> dict[str, int]:
+    """Per node that ``starts`` reach along ``adj``: the OR of the ``bits``
+    of every node it reaches, itself included. One iterative Tarjan walk,
+    so no recursion limit applies: it closes each strongly connected
+    component after every component it reaches, so a component's mask is
+    its members' bits and its successors' masks."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    masks: dict[str, int] = {}
+    stack: list[str] = []
+    for start in starts:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        work = [(start, iter(adj.get(start, ())))]
+        while work:
+            node, succs = work[-1]
+            for nxt in succs:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(adj.get(nxt, ()))))
+                    break
+                if nxt not in masks:  # on the stack: in an open component
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    mask = 0
+                    for m in members:
+                        mask |= bits.get(m, 0)
+                        for nxt in adj.get(m, ()):
+                            mask |= masks.get(nxt, 0)
+                    for m in members:
+                        masks[m] = mask
+    return masks
 
 
 class CoverageRow(NamedTuple):

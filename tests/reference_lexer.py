@@ -7,7 +7,7 @@ import re
 
 from psysafe.diagnostics import SourceSpan, diag
 from psysafe.lexer import (_ESCAPE_RE, KEYWORDS, LexResult, Token, TokenKind,
-                           _record_allow, _span)
+                           _record_allow)
 
 _TOKEN_RE = re.compile(r"""
     (?P<newline> \r\n?|\n )
@@ -48,13 +48,13 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
             except ValueError:
                 res.diagnostics.append(diag(
                     "PSY000", f"integer literal too long ({len(text)} "
-                    "digits)", _span(file, line, col, text)))
+                    "digits)", SourceSpan(file, line, col)))
         elif kind == "comment":
             _record_allow(res.allows, m.group(kind), line)
         elif kind == "illegal":
             res.diagnostics.append(diag(
                 "PSY000", f"illegal character {text!r}",
-                _span(file, line, col, text)))
+                SourceSpan(file, line, col)))
         else:
             value = m.group("string")
             if "\\" in value:
@@ -63,14 +63,13 @@ def tokenize(source: str, file: str = "<input>") -> LexResult:
                         c = col + 1 + esc.start()
                         res.diagnostics.append(diag(
                             "PSY000", f"unsupported escape sequence "
-                            f"'{esc[0]}'", SourceSpan(file, line, c, line,
-                                                      c + 2)))
+                            f"'{esc[0]}'", SourceSpan(file, line, c)))
                 value = _ESCAPE_RE.sub(
                     lambda e: e[1] if e[1] in '"\\' else e[0], value)
             if m.group("closed") is None:
                 res.diagnostics.append(diag(
                     "PSY000", "unterminated string literal",
-                    _span(file, line, col, text)))
+                    SourceSpan(file, line, col)))
             else:
                 append(Token(TokenKind.STRING, text, value, file, line, col))
     return res

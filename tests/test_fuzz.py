@@ -1,8 +1,8 @@
 """Fuzzing the input surface: any text ends in a model or in findings.
 
 The invariant for ``load_sources`` is that a model comes back, or a
-``DiagnosticError`` whose findings all carry catalog rule IDs; nothing
-else may be raised. ``parse_config`` always returns, with findings from
+``DiagnosticError`` whose findings all carry catalog rule IDs and point
+into the text; nothing else may be raised. ``parse_config`` always returns, with findings from
 the catalog. Any argv, and any bytes as a file's contents, end in a
 documented exit code with no traceback. Examples are derandomized so the
 suite stays repeatable.
@@ -40,7 +40,14 @@ def assert_loads_or_diagnoses(text: str) -> None:
         load_sources([("fuzz.psy", text)])
     except DiagnosticError as exc:
         assert exc.diagnostics
-        assert all(d.rule in RULES for d in exc.diagnostics)
+        # The lexer's line ends; a leading BOM is no part of line 1.
+        lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+        for d in exc.diagnostics:
+            assert d.rule in RULES
+            file, line, col = d.span
+            assert file == "fuzz.psy" and 1 <= line <= len(lines)
+            # One past the line's end is where an end of file is found.
+            assert 1 <= col <= len(lines[line - 1]) + 1
 
 
 @FUZZ

@@ -186,245 +186,245 @@ FACTORS = ("expected causal factor (controller_failure, "
            "inadequate_algorithm, unsafe_input, inadequate_process_model), "
            "found ")
 
-#: One input per distinct syntax-error message: (source, message, start
-#: and end column of the span; every span is on line 1).
+#: One input per distinct syntax-error message: (source, message, column
+#: where the finding starts; every finding is on line 1).
 SYNTAX_ERRORS = [
     ('analysis',
      'expected analysis title, found end of file',
-     9, 9),
+     9),
     ('analysis "t" sae_level',
      "expected '{', found 'sae_level'",
-     14, 23),
+     14),
     ('analysis "t" { = 4 }',
      "expected 'sae_level', found '='",
-     16, 17),
+     16),
     ('analysis "t" { sae_level 4 }',
      "expected '=', found '4'",
-     26, 27),
+     26),
     ('analysis "t" { sae_level = x }',
      "expected SAE level, found 'x'",
-     28, 29),
+     28),
     ('analysis "t" { sae_level = 7 }',
      'sae_level must be between 2 and 5, got 7',
-     28, 29),
+     28),
     ('analysis "t" { sae_level = 4 boundary }',
      "expected boundary note, found '}'",
-     39, 40),
+     39),
     ('analysis "t" { sae_level = 4 "b" }',
      'expected \'}\', found \'"b"\'',
-     30, 33),
+     30),
     ('analysis "a" { sae_level = 4 } analysis "b" { sae_level = 4 }',
      'analysis header must be the first and only header of the model',
-     32, 62),
+     32),
     ('"x"',
      'expected a declaration, found \'"x"\'',
-     1, 4),
+     1),
     ('stakeholder "n"',
      'expected identifier, found \'"n"\'',
-     13, 16),
+     13),
     ('stakeholder',
      'expected identifier, found end of file',
-     12, 12),
+     12),
     ('stakeholder SH1',
      'expected stakeholder name, found end of file',
-     16, 16),
+     16),
     ('stakeholder SH1 ""',
      'stakeholder name must not be empty',
-     17, 19),
+     17),
     ('stake ST1 of SH1',
      "expected string, found 'of'",
-     11, 13),
+     11),
     ('stake ST1 "d" SH1',
      "expected 'of', found 'SH1'",
-     15, 18),
+     15),
     ('stake ST1 "d" violates SH1',
      "expected 'of', found 'violates'",
-     15, 23),
+     15),
     ('stake ST1 "d" of "SH1"',
      'expected stakeholder ID, found \'"SH1"\'',
-     18, 23),
+     18),
     ('loss L1 "d" ST1',
      "expected 'violates', found 'ST1'",
-     13, 16),
+     13),
     ('loss L1 "d" violates ST1,',
      'expected identifier, found end of file',
-     26, 26),
+     26),
     ('loss L1 "d" violates ST1 ST2',
      "expected a declaration, found 'ST2'",
-     26, 29),
+     26),
     ('hazard H1 "d" L1',
      "expected 'leads_to', found 'L1'",
-     15, 17),
+     15),
     ('hazard H1 "d" leads_to L1 context 3',
      "expected context note, found '3'",
-     35, 36),
+     35),
     ('goal SG1 "d" H1',
      "expected 'prevents', found 'H1'",
-     14, 16),
+     14),
     ('controller C1 level 1',
      "expected entity name, found 'level'",
-     15, 20),
+     15),
     ('process P1 "p" 1',
      "expected 'level', found '1'",
-     16, 17),
+     16),
     ('controller C1 "c" level one',
      "expected hierarchy level, found 'one'",
-     25, 28),
+     25),
     ('controller C1 "c" level 0',
      'hierarchy level must be 1 or greater',
-     25, 26),
+     25),
     ('controller C1 "c" level 1 { human',
      "expected '}' to close entity block, found end of file",
-     34, 34),
+     34),
     ('controller C1 "c" level 1 { "x" }',
      'expected entity property, found \'"x"\'',
-     29, 32),
+     29),
     ('controller C1 "c" level 1 { level }',
      "expected entity property, found 'level'",
-     29, 34),
+     29),
     ('controller C1 "c" level 1 { human sa_level x }',
      "expected SA level, found 'x'",
-     44, 45),
+     44),
     ('controller C1 "c" level 1 { human sa_level 4 }',
      'sa_level must be 1, 2, or 3',
-     44, 45),
+     44),
     ('controller C1 "c" level 1 { sa_level 2 }',
      "entity 'C1' declares sa_level or psych_state but is not marked human",
-     1, 41),
+     1),
     ('process P1 "p" level 2 { psych_state "tired" }',
      "entity 'P1' declares sa_level or psych_state but is not marked human",
-     1, 47),
+     1),
     ('controller C1 "c" level 1 { psych_state }',
      "expected string, found '}'",
-     41, 42),
+     41),
     ('controller C1 "c" level 1 { algorithm 1 }',
      "expected string, found '1'",
-     39, 40),
+     39),
     ('controller C1 "c" level 1 { process_model x }',
      "expected string, found 'x'",
-     43, 44),
+     43),
     ('action CA1 from C1 to C2',
      "expected edge label, found 'from'",
-     12, 16),
+     12),
     ('action CA1 "a" C1',
      "expected 'from', found 'C1'",
-     16, 18),
+     16),
     ('feedback FB1 "f" from "C1"',
      'expected entity ID, found \'"C1"\'',
-     23, 27),
+     23),
     ('feedback FB1 "f" from C1 C2',
      "expected 'to', found 'C2'",
-     26, 28),
+     26),
     ('action CA1 "a" from C1 to',
      'expected entity ID, found end of file',
-     26, 26),
+     26),
     ('resp R1 "r" C1',
      "expected 'of', found 'C1'",
-     13, 15),
+     13),
     ('resp R1 "r" of "C1"',
      'expected entity ID, found \'"C1"\'',
-     16, 20),
+     16),
     ('resp R1 "r" of C1 SG1',
      "expected 'from', found 'SG1'",
-     19, 22),
+     19),
     ('resp R1 "r" of C1 from',
      'expected identifier, found end of file',
-     23, 23),
+     23),
     ('uca UCA1 CA1',
      "expected 'on', found 'CA1'",
-     10, 13),
+     10),
     ('uca UCA1 on kind',
      "expected control action or feedback ID, found 'kind'",
-     13, 17),
+     13),
     ('uca UCA1 on CA1 provided',
      "expected 'kind', found 'provided'",
-     17, 25),
+     17),
     ('uca UCA1 on CA1 kind late context "c" hazards H1',
      UCA_KINDS + "'late'",
-     22, 26),
+     22),
     ('uca UCA1 on CA1 kind factor',
      UCA_KINDS + "'factor'",
-     22, 28),
+     22),
     ('uca UCA1 on CA1 kind',
      UCA_KINDS + "end of file",
-     21, 21),
+     21),
     ('uca UCA1 on CA1 kind provided "c"',
      'expected \'context\', found \'"c"\'',
-     31, 34),
+     31),
     ('uca UCA1 on CA1 kind provided context H1',
      "expected context, found 'H1'",
-     39, 41),
+     39),
     ('uca UCA1 on CA1 kind provided context "c"',
      "expected 'hazards', found end of file",
-     42, 42),
+     42),
     ('scenario SC1 UCA1',
      "expected 'for', found 'UCA1'",
-     14, 18),
+     14),
     ('scenario SC1 for factor',
      "expected UCA or control action ID, found 'factor'",
-     18, 24),
+     18),
     ('scenario SC1 for UCA1 unsafe_input',
      "expected 'factor', found 'unsafe_input'",
-     23, 35),
+     23),
     ('scenario SC1 for UCA1 factor bad "d"',
      FACTORS + "'bad'",
-     30, 33),
+     30),
     ('scenario SC1 for UCA1 factor',
      FACTORS + "end of file",
-     29, 29),
+     29),
     ('scenario SC1 for UCA1 factor unsafe_input',
      'expected string, found end of file',
-     42, 42),
+     42),
     ('assess "H1"',
      'expected hazard ID, found \'"H1"\'',
-     8, 12),
+     8),
     ('assess H1 S2',
      "expected 'severity', found 'S2'",
-     11, 13),
+     11),
     ('assess H1 severity S4',
      "expected severity class (S1, S2, S3), found 'S4'",
-     20, 22),
+     20),
     ('assess H1 severity provided',
      "expected severity class (S1, S2, S3), found 'provided'",
-     20, 28),
+     20),
     ('assess H1 severity',
      'expected severity class (S1, S2, S3), found end of file',
-     19, 19),
+     19),
     ('assess H1 severity S2 E3',
      "expected 'exposure', found 'E3'",
-     23, 25),
+     23),
     ('assess H1 severity S2 exposure E5',
      "expected exposure class (E1, E2, E3, E4), found 'E5'",
-     32, 34),
+     32),
     ('assess H1 severity S2 exposure',
      'expected exposure class (E1, E2, E3, E4), found end of file',
-     31, 31),
+     31),
     ('assess H1 severity S2 exposure E3 C2',
      "expected 'controllability', found 'C2'",
-     35, 37),
+     35),
     ('assess H1 severity S2 exposure E3 controllability C4',
      "expected controllability class (C1, C2, C3), found 'C4'",
-     51, 53),
+     51),
     ('assess H1 severity S2 exposure E3 controllability',
      'expected controllability class (C1, C2, C3), found end of file',
-     50, 50),
+     50),
     ('assess H1 severity S2 exposure E3 controllability C2 rationale',
      'expected rationale, found end of file',
-     63, 63),
+     63),
     ('assess H1 severity S2 exposure E3 controllability C2 rationale H1',
      "expected rationale, found 'H1'",
-     64, 66),
+     64),
 
 ]
 
 
-@pytest.mark.parametrize("source,message,start_col,end_col", SYNTAX_ERRORS)
-def test_syntax_error_message_and_span(source, message, start_col, end_col):
+@pytest.mark.parametrize("source,message,start_col", SYNTAX_ERRORS)
+def test_syntax_error_message_and_span(source, message, start_col):
     lex = tokenize(source, "t.psy")
     assert not lex.diagnostics
     _, diags = parse(lex.tokens, "t.psy")
     assert [(d.rule, d.message, d.span) for d in diags] == [
-        ("PSY000", message, SourceSpan("t.psy", 1, start_col, 1, end_col))]
+        ("PSY000", message, SourceSpan("t.psy", 1, start_col))]
 
 
 def test_table_keywords_are_lexer_keywords():
@@ -456,22 +456,22 @@ def test_recovery_stops_at_exactly_the_table_declaration_keywords():
     assert stops == table | {"analysis"}
 
 
-#: A declaration split across lines, and its last line: each reads as the
-#: same record as its one-line form. None of these continuation lines
-#: starts with a declaration keyword, so the line reader leaves each text
-#: whole to the token reader.
+#: Declarations split across lines: each reads as the same record as its
+#: one-line form, and starts where it does. None of these continuation
+#: lines starts with a declaration keyword, so the line reader leaves each
+#: text whole to the token reader.
 SPLIT = [
-    ('hazard H1 "h" leads_to L1\n  , L2', 2),
-    ('hazard H1 "h" leads_to L1, L2\n  context "c"', 2),
-    ('assess H1 severity S2 exposure E4 controllability C1\n'
-     '  rationale "r"', 2),
-    ('controller C1 "c" level 1\n{\n  human sa_level 2\n}', 4),
-    ('analysis "t"\n{\n  sae_level\n  = 2\n  boundary "b"\n}', 6),
+    'hazard H1 "h" leads_to L1\n  , L2',
+    'hazard H1 "h" leads_to L1, L2\n  context "c"',
+    'assess H1 severity S2 exposure E4 controllability C1\n'
+    '  rationale "r"',
+    'controller C1 "c" level 1\n{\n  human sa_level 2\n}',
+    'analysis "t"\n{\n  sae_level\n  = 2\n  boundary "b"\n}',
 ]
 
 
-@pytest.mark.parametrize("text, last_line", SPLIT)
-def test_declaration_split_across_lines(text, last_line):
+@pytest.mark.parametrize("text", SPLIT)
+def test_declaration_split_across_lines(text):
     model, diags = parse_text(text)
     one_line, one_line_diags = parse_text(" ".join(text.split()))
     assert not diags and not one_line_diags
@@ -482,7 +482,6 @@ def test_declaration_split_across_lines(text, last_line):
     else:
         [(decl, span)] = model.decls
         assert decl == one_line.decls[0][0]
-    assert (span.start_line, span.start_col, span.end_line) == \
-        (1, 1, last_line)
+    assert span == SourceSpan("t.psy", 1, 1)
     assert read_source(text, "t.psy", fast=True) == \
         read_source(text, "t.psy")

@@ -21,7 +21,7 @@ from psysafe.report import Report, build_report
 from psysafe.structure import uca_category_coverage
 from psysafe.tracegraph import build_trace_graph
 
-SPAN = SourceSpan("t.psy", 1, 1, 1, 5)
+SPAN = SourceSpan("t.psy", 1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ def test_records_are_tuples():
     assert tuple(action) == ("X1", "label", "A", "B")
     assert action[0] == action.id == "X1"
     assert action == FeedbackLink(*action)
-    assert json.dumps(SPAN) == '["t.psy", 1, 1, 1, 5]'
+    assert json.dumps(SPAN) == '["t.psy", 1, 1]'
 
 
 def test_refs_are_the_reference_fields():

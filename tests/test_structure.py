@@ -1,7 +1,14 @@
+import time
+from collections import deque
+
+from hypothesis import given, strategies as st
+
 from psysafe.loader import load_sources
-from psysafe.model import UcaKind
+from psysafe.model import (ControlAction, ControlStructure, Entity,
+                           EntityKind, FeedbackLink, UcaKind)
 from psysafe.structure import uca_category_coverage, validate_structure
 
+from tests.conftest import FUZZ
 from tests.mutations import CLEAN_PSY
 
 
@@ -93,6 +100,71 @@ def test_validation_is_order_independent(corpus_model):
     b = validate_structure(shuffled, corpus_model.spans)
     assert sorted((d.rule, d.message) for d in a) == \
         sorted((d.rule, d.message) for d in b)
+
+
+def open_loops(structure: ControlStructure) -> list[str]:
+    """The control actions PSY010 reports: one BFS per action from its
+    target along feedback links, looking for its source."""
+    adj: dict[str, set[str]] = {}
+    for fb in structure.feedbacks:
+        adj.setdefault(fb.source, set()).add(fb.target)
+
+    def reachable(start: str, goal: str) -> bool:
+        seen, queue = {start}, deque([start])
+        while queue:
+            node = queue.popleft()
+            if node == goal:
+                return True
+            for nxt in adj.get(node, set()) - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+        return False
+
+    return sorted(a.id for a in structure.actions
+                  if not reachable(a.target, a.source))
+
+
+def psy010(structure: ControlStructure) -> list[str]:
+    return [d.related[0] for d in validate_structure(structure)
+            if d.rule == "PSY010"]
+
+
+NODES = ["C1", "C2", "C3", "C4", "C5", "C6"]
+links = st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
+                 max_size=12)
+
+
+@FUZZ
+@given(links, links, st.lists(st.integers(1, 3), min_size=len(NODES),
+                              max_size=len(NODES)))
+def test_open_loops_are_those_of_one_search_per_action(actions, feedbacks,
+                                                       levels):
+    # Cycles, self-loops, actions whose source is their target and
+    # feedback that flows down all occur.
+    structure = ControlStructure(
+        tuple(Entity(n, n, level, EntityKind.CONTROLLER)
+              for n, level in zip(NODES, levels)),
+        tuple(ControlAction(f"A{i}", "a", *link)
+              for i, link in enumerate(actions)),
+        tuple(FeedbackLink(f"F{i}", "f", *link)
+              for i, link in enumerate(feedbacks)))
+    assert psy010(structure) == open_loops(structure)
+
+
+def test_loop_closure_is_linear_on_a_deep_chain():
+    # Feedback climbs a chain of 4,000 levels and every action starts at
+    # the top: a search per action would walk the chain again each time.
+    n = 4000
+    structure = ControlStructure(
+        tuple(Entity(f"C{i}", "c", i, EntityKind.CONTROLLER)
+              for i in range(1, n + 1)),
+        tuple(ControlAction(f"A{i}", "a", "C1", f"C{i}")
+              for i in range(1, n + 1)),
+        tuple(FeedbackLink(f"F{i}", "f", f"C{i + 1}", f"C{i}")
+              for i in range(1, n)))
+    start = time.perf_counter()
+    assert psy010(structure) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coverage_rows_for_corpus(corpus_model):
