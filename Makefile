@@ -100,8 +100,11 @@ loc:
 	@wc -l src/psysafe/*.py | tail -n 1
 
 # The checks every change reports, in the order it reports them: the
-# tier-1 tests of ROADMAP.md, the benchmark smoke test, the src/ line count.
+# tier-1 tests of ROADMAP.md, the goldens through python -m psysafe (so
+# through main(), which in-process tests do not reach), the benchmark smoke
+# test, the src/ line count.
 verify:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	@$(MAKE) --no-print-directory goldens
 	@$(MAKE) --no-print-directory bench-smoke
 	@$(MAKE) --no-print-directory loc

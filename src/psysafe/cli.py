@@ -21,7 +21,9 @@ canonical form). Setting ``NO_COLOR`` disables ANSI coloring.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import os
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Commands import the modules they run: start-up loads only these.
 from .diagnostics import (Diagnostic, DiagnosticError, Severity,
-                          SourceSpan, diag, format_diagnostic)
+                          format_diagnostic)
 from . import __version__
 
 if TYPE_CHECKING:
@@ -55,14 +57,10 @@ class _ArgumentParser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
-def _use_color() -> bool:
-    return sys.stderr.isatty() and not os.environ.get("NO_COLOR")
-
-
 def _print_diagnostics(diags: Sequence[Diagnostic]) -> None:
     # One write: stderr is line-buffered, so one system call per line else.
     if diags:
-        color = _use_color()
+        color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
         sys.stderr.write("".join(f"{format_diagnostic(d, color=color)}\n"
                                  for d in diags))
 
@@ -79,6 +77,7 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
     """Read the lint config: --config wins, else a psysafe.conf next to
     the first input file; defaults otherwise."""
     from .lints import LintConfig, parse_config
+    from .loader import read_file
     if explicit is not None:
         path = Path(explicit)
     else:
@@ -86,13 +85,7 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
         if candidate is None or not os.path.isfile(candidate):
             return LintConfig()
         path = candidate
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DiagnosticError([diag(
-            "PSY000", f"cannot read config file: {exc}",
-            SourceSpan(str(path), 1, 1))]) from exc
-    config, diags = parse_config(text, str(path))
+    config, diags = parse_config(read_file(path, "config file"), str(path))
     if any(d.severity is Severity.ERROR for d in diags):
         raise DiagnosticError(diags)
     return config
@@ -243,9 +236,18 @@ def build_arg_parser() -> _ArgumentParser:
     return parser
 
 
+class _Closed(io.TextIOBase):
+    """Stands in for a stream whose descriptor was closed at start-up."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def _silence(stream) -> None:
     """Point a stream that cannot be written at the null device, so the
     interpreter's flush at exit does not fail again."""
+    if isinstance(stream, _Closed):  # nothing to flush at exit
+        return
     with open(os.devnull, "w") as devnull:
         os.dup2(devnull.fileno(), stream.fileno())
 
@@ -267,7 +269,7 @@ def _cannot_write(prog: str, exc: OSError) -> int:
 def run(argv: Sequence[str]) -> int:
     """Entry point returning the process exit code.
 
-    A command that cannot read, parse or resolve its input raises
+    A command whose input cannot be read, parsed or resolved raises
     :class:`DiagnosticError`; its findings are printed here, exit 2. So
     does a run whose stdout or stderr cannot be written, --help and
     --version included.
@@ -297,6 +299,11 @@ def main() -> None:
     # rarely, past start-up's objects; callers of run() keep the default.
     gc.freeze()
     gc.set_threshold(100_000, 50, 1000)
+    # UTF-8 whatever the locale; a stream closed at start-up (None) fails.
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
+    sys.stdout = sys.stdout or _Closed()
+    sys.stderr = sys.stderr or _Closed()
     sys.exit(run(sys.argv[1:]))
 
 

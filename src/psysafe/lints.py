@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple
 from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
 from .lexer import RULE_ID_RE, TokenKind, tokenize
-from .model import (DECLS, AnalysisModel, EntityKind, Hazard, Loss,
+from .model import (DECLS, NODE_KINDS, AnalysisModel, Hazard, Loss,
                     LossScenario, Responsibility, RiskAssessment, SafetyGoal,
                     Uca)
 from .structure import validate_structure
@@ -124,9 +124,8 @@ def _lint_findings(model: AnalysisModel) -> list[Diagnostic]:
         diags.extend(diag(rule, message.format(d.id), model.span_of(d.id),
                           (d.id,)) for d in missing)
 
-    nodes = (EntityKind.CONTROLLER, EntityKind.PROCESS)
     for resp in model.responsibilities:
-        if model.kind_of(resp.assignee) not in nodes:
+        if model.kind_of(resp.assignee) not in NODE_KINDS:
             diags.append(diag(
                 "PSY012", f"responsibility {resp.id} assignee "
                 f"'{resp.assignee}' is not part of the control structure",

@@ -58,14 +58,15 @@ def load_model(paths: Sequence[str | Path]
     if not paths:
         raise LoadError([diag("PSY000", "no input files",
                               SourceSpan("<input>", 1, 1))])
-    sources = []
-    for path in paths:
-        name = str(path)
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise LoadError([diag(
-                "PSY000", f"cannot read file: {exc}",
-                SourceSpan(name, 1, 1))]) from exc
-        sources.append((name, text))
-    return load_sources(sources)
+    return load_sources([(str(path), read_file(path, "file"))
+                         for path in paths])
+
+
+def read_file(path: str | Path, what: str) -> str:
+    """The UTF-8 text of ``path``; raises :class:`LoadError`, PSY000
+    "cannot read ``what``", if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError([diag("PSY000", f"cannot read {what}: {exc}",
+                              SourceSpan(str(path), 1, 1))]) from exc

@@ -334,7 +334,7 @@ class DeclSpec(NamedTuple):
 
 
 _K, _E, _F = EntityKind, EdgeType, Form
-_NODES = (_K.CONTROLLER, _K.PROCESS)
+NODE_KINDS = (_K.CONTROLLER, _K.PROCESS)
 _ID = Field("id", _F.ID)
 _DESCRIPTION = Field("description", _F.STRING)
 
@@ -342,9 +342,9 @@ _DESCRIPTION = Field("description", _F.STRING)
 def _link(name: str) -> tuple[Field, ...]:
     """The fields of a control action or a feedback link."""
     return (_ID, Field("label", _F.STRING, what="edge label"),
-            Field("source", _F.ID, "from", "entity ID", kinds=_NODES,
+            Field("source", _F.ID, "from", "entity ID", kinds=NODE_KINDS,
                   label=f"{name} source"),
-            Field("target", _F.ID, "to", "entity ID", kinds=_NODES,
+            Field("target", _F.ID, "to", "entity ID", kinds=NODE_KINDS,
                   label=f"{name} target"))
 
 

@@ -66,25 +66,22 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def at(self, text: str) -> bool:
         """Whether the keyword or punctuation mark ``text`` comes next (no
         other kind of token spells one)."""
         tok = self.peek()
         return tok is not None and tok.text == text
 
-    def _end_span(self) -> SourceSpan:
-        if self.tokens:
+    def fail(self, message: str):
+        """Report a syntax error at the next token, or just past the last
+        one at the end of input (a keyword has been read, so there is one),
+        and abort the declaration."""
+        tok = self.peek()
+        if tok is None:
             last = self.tokens[-1]
-            return SourceSpan(self.file, last.line, last.col + len(last.text))
-        return SourceSpan(self.file, 1, 1)
-
-    def fail(self, message: str, span: SourceSpan | None = None):
-        if span is None:
-            tok = self.peek()
-            span = tok.span if tok else self._end_span()
+            span = SourceSpan(self.file, last.line, last.col + len(last.text))
+        else:
+            span = tok.span
         self.diagnostics.append(diag("PSY000", message, span))
         raise _ParseFailure()
 
@@ -101,7 +98,7 @@ class _Parser:
         self.pos = pos + 1
         return tok
 
-    def value(self, kind: TokenKind, what: str, check: tuple | None = None):
+    def value(self, kind: TokenKind, what: str, check: tuple | None):
         """An identifier, string or integer; reports a value that fails
         ``check``, its field's (valid, message) pair."""
         tok = self.expect(kind, what)
@@ -185,8 +182,7 @@ class _Parser:
 
     def recover(self) -> None:
         """Skip to the next declaration keyword (or EOF)."""
-        while not self.at_end():
-            tok = self.peek()
+        while (tok := self.peek()) is not None:
             if tok.kind is TokenKind.KEYWORD and \
                     (tok.text in _PLANS or tok.text == "analysis"):
                 return
@@ -195,8 +191,7 @@ class _Parser:
     def file_(self) -> RawModel:
         header: RawHeader | None = None
         decls: list[tuple[object, SourceSpan]] = []
-        while not self.at_end():
-            tok = self.peek()
+        while (tok := self.peek()) is not None:
             if tok.kind is TokenKind.KEYWORD and tok.text == "analysis":
                 kw = self.advance()
                 try:

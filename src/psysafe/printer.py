@@ -12,12 +12,8 @@ from operator import attrgetter
 from .model import DECLS, AnalysisModel, Entity, Form, spelling
 
 
-def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _q(text: str) -> str:
-    return f'"{_esc(text)}"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _ids(ids: frozenset[str] | tuple[str, ...]) -> str:

@@ -68,9 +68,9 @@ def build_report(model: AnalysisModel,
         "goals": len(model.goals),
         "responsibilities": len(model.responsibilities),
         "controllers": sum(1 for e in model.structure.entities
-                           if e.kind.value == "controller"),
+                           if e.kind is EntityKind.CONTROLLER),
         "processes": sum(1 for e in model.structure.entities
-                         if e.kind.value == "process"),
+                         if e.kind is EntityKind.PROCESS),
         "actions": len(model.structure.actions),
         "feedbacks": len(model.structure.feedbacks),
         "ucas": len(model.ucas),

@@ -8,10 +8,11 @@ intermediate levels, that closes its loop.
 
 from __future__ import annotations
 
+from operator import gt, lt
 from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
-from .model import AnalysisModel, ControlStructure, UcaKind
+from .model import AnalysisModel, ControlStructure, EntityKind, UcaKind
 
 
 def validate_structure(structure: ControlStructure,
@@ -48,30 +49,24 @@ def validate_structure(structure: ControlStructure,
                     f"human entity {entity.id} is missing "
                     f"{' and '.join(missing)}",
                     span_of(entity.id), (entity.id,)))
-        elif entity.kind.value == "controller" and not entity.process_model:
+        elif entity.kind is EntityKind.CONTROLLER and not entity.process_model:
             diags.append(diag(
                 "PSY009",
                 f"controller {entity.id} declares no process_model",
                 span_of(entity.id), (entity.id,)))
 
     actions = sorted(structure.actions, key=lambda a: a.id)
-    for action in actions:
-        src, dst = levels.get(action.source), levels.get(action.target)
-        if src is not None and dst is not None and src > dst:
-            diags.append(diag(
-                "PSY014",
-                f"control action {action.id} flows up the hierarchy "
-                f"(from level {src} to level {dst}); commands flow down",
-                span_of(action.id), (action.id,)))
-
-    for fb in sorted(structure.feedbacks, key=lambda f: f.id):
-        src, dst = levels.get(fb.source), levels.get(fb.target)
-        if src is not None and dst is not None and src < dst:
-            diags.append(diag(
-                "PSY014",
-                f"feedback {fb.id} flows down the hierarchy "
-                f"(from level {src} to level {dst}); feedback flows up",
-                span_of(fb.id), (fb.id,)))
+    feedbacks = sorted(structure.feedbacks, key=lambda f: f.id)
+    for links, wrong, name, way, rule in (
+            (actions, gt, "control action", "up", "commands flow down"),
+            (feedbacks, lt, "feedback", "down", "feedback flows up")):
+        for link in links:
+            src, dst = levels.get(link.source), levels.get(link.target)
+            if src is not None and dst is not None and wrong(src, dst):
+                diags.append(diag(
+                    "PSY014", f"{name} {link.id} flows {way} the hierarchy "
+                    f"(from level {src} to level {dst}); {rule}",
+                    span_of(link.id), (link.id,)))
 
     feedback_adj: dict[str, set[str]] = {}
     for fb in structure.feedbacks:

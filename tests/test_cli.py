@@ -398,11 +398,8 @@ def _env(unbuffered):
     return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"),
-                    reason="needs a /dev/full device")
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [
+#: One run of each command that writes to stdout.
+WRITING_ARGVS = [
     ["--version"],
     ["--help"],
     ["psysil", "S1", "E1", "C1"],
@@ -410,7 +407,14 @@ def _env(unbuffered):
     ["trace", *CORPUS_ARGS, "--from", "H3"],
     ["check", "--coverage", *CORPUS_ARGS],
     ["report", "--format", "json", *CORPUS_ARGS],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITING_ARGVS, ids=lambda argv: argv[0])
 def test_output_to_a_full_device_exits_2(argv, unbuffered):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "psysafe", *argv],
@@ -450,3 +454,66 @@ def test_output_to_a_closed_pipe_exits_2(tmp_path):
     proc.stderr.close()
     proc.wait(timeout=60)
     _assert_cannot_write(proc, "fmt", stderr)
+
+
+def _run_with_closed(fd, argv):
+    """Run psysafe with descriptor ``fd`` (1 or 2) closed before start-up;
+    the other of stdout and stderr is captured."""
+    return subprocess.run([sys.executable, "-m", "psysafe", *argv],
+                          capture_output=True, text=True, cwd=REPO_ROOT,
+                          preexec_fn=lambda: os.close(fd))
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS, ids=lambda argv: argv[0])
+def test_output_to_a_closed_stdout_exits_2(argv):
+    proc = _run_with_closed(1, argv)
+    assert proc.stderr.splitlines()[-1].endswith(
+        "cannot write output: Bad file descriptor")
+    _assert_cannot_write(proc, argv[0], proc.stderr)
+
+
+def test_check_with_a_closed_stdout_keeps_its_exit_code():
+    proc = _run_with_closed(1, ["check", *CORPUS_ARGS])
+    assert proc.returncode == 0
+    assert proc.stderr.count("warning[PSY") == 6
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmt", *CORPUS_ARGS],
+    ["trace", *CORPUS_ARGS, "--from", "H3"],
+    ["psysil", "S1", "E1", "C1"],
+], ids=lambda argv: argv[0])
+def test_commands_silent_on_stderr_run_with_it_closed(argv):
+    proc = _run_with_closed(2, argv)
+    assert proc.returncode == 0
+    assert proc.stdout == psysafe(*argv).stdout != ""
+
+
+def test_diagnostics_to_a_closed_stderr_exit_2():
+    # The corpus has six warnings, so exit 0 would be due.
+    proc = _run_with_closed(2, ["check", *CORPUS_ARGS])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmt"], ["report", "--format", "json"], ["report", "--format", "md"],
+], ids=" ".join)
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
+    model = tmp_path / "m.psy"
+    model.write_text('analysis "café" { sae_level = 3 }\n'
+                     'stakeholder SH1 "Café owner"\n', encoding="utf-8")
+    outputs = []
+    for encoding in ("ascii", "utf-8"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "psysafe", *argv, str(model)],
+            capture_output=True, cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONIOENCODING": encoding})
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "café".encode() in outputs[0]

@@ -34,6 +34,9 @@ def test_action_from_lower_to_higher_level_is_psy014():
     assert rules.count("PSY014") == 1
     psy014 = next(d for d in diags if d.rule == "PSY014")
     assert psy014.related == ("A3",)
+    assert psy014.message == (
+        "control action A3 flows up the hierarchy (from level 3 to level 1); "
+        "commands flow down")
 
 
 def test_feedback_from_higher_to_lower_level_is_psy014():
@@ -42,6 +45,9 @@ def test_feedback_from_higher_to_lower_level_is_psy014():
     diags = validate_structure(model.structure, model.spans)
     assert [d.rule for d in diags] == ["PSY014"]
     assert diags[0].related == ("F3",)
+    assert diags[0].message == (
+        "feedback F3 flows down the hierarchy (from level 1 to level 3); "
+        "feedback flows up")
 
 
 def test_peer_level_action_is_allowed():
