@@ -11,7 +11,7 @@ regen-goldens:
 
 PY ?= python3
 
-# Runs check and report --format json|md under $(PY) on the corpus and on
+# Runs check, report --format json|md and fmt under $(PY) on the corpus and on
 # each tests/golden/*/model.psy, and diffs the output against the goldens.
 # Needs no pytest, so it checks any interpreter pyproject.toml allows; exits
 # non-zero on any difference.
@@ -29,6 +29,8 @@ goldens:
 	    $(PY) -m psysafe report $$files --format $$fmt 2>/dev/null \
 	      | diff -u $$golden/report.$$fmt - || fail=1; \
 	  done; \
+	  $(PY) -m psysafe fmt $$files 2>/dev/null \
+	    | diff -u $$golden/fmt.psy - || fail=1; \
 	done; \
 	if [ $$fail = 0 ]; then echo "goldens match under $$($(PY) -V)"; fi; \
 	exit $$fail

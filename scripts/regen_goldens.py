@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the golden outputs.
 
-Rewrites report.json, report.md and diagnostics.txt for the bundled
-corpus (in corpus/paper/golden/) and for each edge model
+Rewrites report.json, report.md, fmt.psy and diagnostics.txt for the
+bundled corpus (in corpus/paper/golden/) and for each edge model
 tests/golden/<name>/model.psy (next to the model), from the current
 sources and tool version. Each golden is what the CLI writes:
-``report --format json|md --out <golden>``, and the stderr of ``check``.
+``report --format json|md --out <golden>``, the stdout of ``fmt``, and
+the stderr of ``check``.
 Run from anywhere; paths are anchored at the repository root. Review the
 diff before committing.
 """
@@ -22,15 +23,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from psysafe.cli import run  # noqa: E402
 
 
-def psysafe(*argv: str) -> str:
-    """Run one CLI command in process and return its stderr; stop unless
-    it exits 0 or 1 (findings)."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+def psysafe(*argv: str) -> tuple[str, str]:
+    """Run one CLI command in process and return its stdout and stderr;
+    stop unless it exits 0 or 1 (findings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     if code not in (0, 1):
         sys.exit(f"psysafe {' '.join(argv)}: exit {code}\n{err.getvalue()}")
-    return err.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 def write_goldens(files: list[Path], golden: Path) -> None:
@@ -38,9 +39,11 @@ def write_goldens(files: list[Path], golden: Path) -> None:
     for fmt in ("json", "md"):
         psysafe("report", *names, "--format", fmt,
                 "--out", str(golden / f"report.{fmt}"))
-    (golden / "diagnostics.txt").write_text(psysafe("check", *names),
+    (golden / "fmt.psy").write_text(psysafe("fmt", *names)[0],
+                                    encoding="utf-8")
+    (golden / "diagnostics.txt").write_text(psysafe("check", *names)[1],
                                             encoding="utf-8")
-    for name in ("report.json", "report.md", "diagnostics.txt"):
+    for name in ("report.json", "report.md", "fmt.psy", "diagnostics.txt"):
         print(f"wrote {golden / name}")
 
 

@@ -94,18 +94,12 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
 def _format_coverage(model: AnalysisModel) -> str:
     from .model import UcaKind
     from .structure import uca_category_coverage
-    rows = uca_category_coverage(model)
-    header = ["action"] + [kind.value for kind in UcaKind]
-    table = [header]
-    for row in rows:
-        table.append([row.action] + [", ".join(row.ucas_for(kind)) or "-"
-                                     for kind in UcaKind])
-    widths = [max(len(line[i]) for line in table)
-              for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i])
-                       for i, cell in enumerate(line)).rstrip()
-             for line in table]
-    return "\n".join(lines) + "\n"
+    table = [["action"] + [kind.value for kind in UcaKind]]
+    table += [[row.action] + [", ".join(ids) or "-" for _, ids in row.by_kind]
+              for row in uca_category_coverage(model)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n"
+                   for line in table)
 
 
 def cmd_check(args) -> int:
@@ -252,15 +246,17 @@ def _silence(stream) -> None:
         os.dup2(devnull.fileno(), stream.fileno())
 
 
-def _cannot_write(prog: str, exc: OSError) -> int:
-    """Report a failed write, on stderr if that still works; exit 2."""
+def _cannot_write(prog: str, exc: OSError | UnicodeEncodeError) -> int:
+    """Report a failed write, on stderr if that still works; exit 2. A
+    stdout that cannot encode the artifact is unwritable too; ``str()`` of
+    that error escapes the character, so the reason stays ASCII."""
     try:
         sys.stdout.flush()
     except OSError:
         _silence(sys.stdout)
     try:
-        print(f"{prog}: cannot write output: {exc.strerror}",
-              file=sys.stderr)
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"{prog}: cannot write output: {reason}", file=sys.stderr)
     except OSError:
         _silence(sys.stderr)
     return EX_DATA
@@ -290,7 +286,8 @@ def run(argv: Sequence[str]) -> int:
         sys.stdout.flush()
         sys.stderr.flush()
         return code
-    except OSError as exc:  # commands catch read errors: an output failed
+    # Commands catch read errors, so an output failed.
+    except (OSError, UnicodeEncodeError) as exc:
         return _cannot_write(prog, exc)
 
 

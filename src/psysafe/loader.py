@@ -67,6 +67,6 @@ def read_file(path: str | Path, what: str) -> str:
     "cannot read ``what``", if it cannot be read or decoded."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise LoadError([diag("PSY000", f"cannot read {what}: {exc}",
                               SourceSpan(str(path), 1, 1))]) from exc

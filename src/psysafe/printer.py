@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .model import DECLS, AnalysisModel, Entity, Form, spelling
+from .model import DECLS, AnalysisModel, Entity, Field, Form, spelling
 
 
 def _q(text: str) -> str:
@@ -21,6 +21,7 @@ def _ids(ids: frozenset[str] | tuple[str, ...]) -> str:
 
 
 def _entity_props(e: Entity) -> str:
+    """`` { ... }`` of the entity's properties; nothing without any."""
     props: list[str] = []
     for f in DECLS[Entity].block:
         value = getattr(e, f.attr)
@@ -29,21 +30,29 @@ def _entity_props(e: Entity) -> str:
                 props.append(f.keyword)
             elif v is not None and v is not False:
                 props.append(f"{f.keyword} {_FORMATS[f.form](v)}")
-    return "{ " + " ".join(props) + " }" if props else ""
+    return " { " + " ".join(props) + " }" if props else ""
 
 
-_FORMATS = {Form.ID: str, Form.IDS: _ids, Form.STRING: _q, Form.INT: str,
-            Form.BLOCK: _entity_props}
+_FORMATS = {Form.IDS: _ids, Form.STRING: _q, Form.INT: str}
 
 
-#: (spec, sort key, (keyword, getter, formatter) per field) in table
-#: order, which is the canonical group order. The entity block formats
-#: the whole entity.
+def _step(f: Field) -> tuple:
+    """(text before the value, getter or None for the item itself,
+    formatter or None for a value written as it stands) of one field."""
+    if f.form is Form.BLOCK:
+        return "", None, _entity_props
+    if isinstance(f.form, Form):
+        fmt = None if f.form is Form.ID else _FORMATS[f.form]
+    else:
+        fmt = {m: spelling(m) for m in f.form}.__getitem__
+    return f" {f.keyword} " if f.keyword else " ", attrgetter(f.attr), fmt
+
+
+#: (spec, sort key, keyword or None, steps) in table order, which is the
+#: canonical group order; None when the item's kind gives its keyword.
 _PLANS = [(spec, attrgetter(spec.fields[0].attr),
-           tuple((f.keyword,
-                  attrgetter(f.attr) if f.attr else lambda item: item,
-                  _FORMATS[f.form] if isinstance(f.form, Form) else spelling)
-                 for f in spec.fields))
+           spec.keywords[0] if len(spec.keywords) == 1 else None,
+           tuple(map(_step, spec.fields)))
           for spec in DECLS.values()]
 
 
@@ -55,20 +64,15 @@ def print_canonical(model: AnalysisModel) -> str:
     if model.boundary is not None:
         out.append(f"  boundary {_q(model.boundary)}")
     out.append("}")
-    for spec, key, steps in _PLANS:
+    for spec, key, keyword, steps in _PLANS:
         items = sorted(spec.items(model), key=key)
         if items:
             out.append("")
         for item in items:
-            words = [spec.keyword_of(item)]
-            for keyword, get, fmt in steps:
-                value = get(item)
-                if value is None:  # an absent optional field
-                    continue
-                if keyword is not None:
-                    words.append(keyword)
-                text = fmt(value)
-                if text:  # an entity without properties has no block
-                    words.append(text)
-            out.append(" ".join(words))
+            line = keyword or spec.keyword_of(item)
+            for before, get, fmt in steps:
+                value = item if get is None else get(item)
+                if value is not None:  # else an absent optional field
+                    line += before + (value if fmt is None else fmt(value))
+            out.append(line)
     return "\n".join(out) + "\n"

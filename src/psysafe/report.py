@@ -12,8 +12,8 @@ and file names are relativized, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from . import __version__
@@ -104,6 +104,8 @@ def build_report(model: AnalysisModel,
         matrices[key] = {d.id: sorted(getattr(d, attr)) for d in decls}
 
     diagnostics = analyze(model, config)
+    files = {f: _relativize(f) for f in {d.span.file for d in diagnostics}}
+    kinds = [kind.value for kind in UcaKind]
     document = {
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -115,11 +117,11 @@ def build_report(model: AnalysisModel,
         "matrices": matrices,
         "uca_coverage": [
             {"action": row.action,
-             **{kind.value: list(row.ucas_for(kind)) for kind in UcaKind}}
+             **{kind: list(ids) for kind, (_, ids) in zip(kinds, row.by_kind)}}
             for row in uca_category_coverage(model)
         ],
         "diagnostics": [
-            {"file": _relativize(d.span.file),
+            {"file": files[d.span.file],
              "line": d.span.start_line,
              "col": d.span.start_col,
              "severity": d.severity.value,
@@ -132,9 +134,39 @@ def build_report(model: AnalysisModel,
     return Report(document, diagnostics, model)
 
 
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
+    writes it, nested at ``pad``; for the types a document holds: dict
+    (str keys), list, str, int, bool and None. Strings go through the
+    same C encoder."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            [encode_basestring(k) + ": " + _json(v, inner)
+             for k, v in value.items()]) + "\n" + pad + "}")
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_json(v, inner) for v in value]) + "\n" + pad + "]")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
+
+
 def emit_json(report: Report) -> str:
-    """UTF-8 JSON with documented key order; see docs/report-schema.md."""
-    return json.dumps(report.document, indent=2, ensure_ascii=False) + "\n"
+    """UTF-8 JSON with documented key order and layout; see
+    docs/report-schema.md."""
+    return _json(report.document, "") + "\n"
 
 
 def _cell(text: str) -> str:
@@ -145,8 +177,8 @@ def _table(header: list[str], rows: list[list[str]],
            out: list[str]) -> None:
     out.append("| " + " | ".join(header) + " |")
     out.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        out.append("| " + " | ".join(_cell(c) for c in row) + " |")
+    out.extend(["| " + " | ".join([c.replace("|", "\\|") for c in row])
+                + " |" for row in rows])
 
 
 def _section(out: list[str], title: str, header: list[str],
@@ -208,10 +240,9 @@ def emit_markdown(report: Report) -> str:
         _section(out, f"### {heading}", header, rows, None)
 
     no_ucas = "No UCAs declared; all control actions are uncovered."
-    _section(out, "## UCA Coverage",
-             ["Action"] + [kind.value for kind in UcaKind],
-             [[row["action"]] + [", ".join(row[kind.value]) or "-"
-                                 for kind in UcaKind]
+    kinds = [kind.value for kind in UcaKind]
+    _section(out, "## UCA Coverage", ["Action"] + kinds,
+             [[row["action"]] + [", ".join(row[kind]) or "-" for kind in kinds]
               for row in doc["uca_coverage"]],
              "No control actions declared.",
              note=None if doc["inventory"]["ucas"] else no_ucas)

@@ -12,7 +12,9 @@ from operator import gt, lt
 from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
-from .model import AnalysisModel, ControlStructure, EntityKind, UcaKind
+from .model import AnalysisModel, ControlStructure, EntityKind, Uca, UcaKind
+
+_UCA_KINDS = tuple(UcaKind)
 
 
 def validate_structure(structure: ControlStructure,
@@ -156,12 +158,14 @@ def uca_category_coverage(model: AnalysisModel) -> list[CoverageRow]:
     actions without any UCA sort first. UCAs attached to feedback links
     contribute to no row here.
     """
-    ids: dict[tuple[str, UcaKind], list[str]] = {}
+    ucas: dict[str, list[Uca]] = {}
     for u in model.ucas:
-        ids.setdefault((u.on, u.kind), []).append(u.id)
-    rows = [CoverageRow(action.id, tuple(
-                (kind, tuple(sorted(ids.get((action.id, kind), ()))))
-                for kind in UcaKind))
-            for action in model.structure.actions]
+        ucas.setdefault(u.on, []).append(u)
+    rows = []
+    for action in model.structure.actions:
+        on = ucas.get(action.id, ())
+        rows.append(CoverageRow(action.id, tuple(
+            (kind, tuple(sorted([u.id for u in on if u.kind is kind])))
+            for kind in _UCA_KINDS)))
     rows.sort(key=lambda r: (not r.uncovered, r.action))
     return rows

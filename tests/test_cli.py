@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -314,6 +315,29 @@ def test_report_md_matches_golden():
     assert proc.stdout == golden
 
 
+def test_report_relativizes_each_file_once(monkeypatch, capsys):
+    from psysafe.cli import run
+    monkeypatch.chdir(REPO_ROOT)
+    calls = []
+    relpath = os.path.relpath
+    monkeypatch.setattr(os.path, "relpath",
+                        lambda path: calls.append(path) or relpath(path))
+    outputs = []
+    for files in (CORPUS_ARGS, [str(REPO_ROOT / f) for f in CORPUS_ARGS]):
+        assert run(["report", "--format", "json", *files]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    files = {d["file"] for d in json.loads(outputs[1])["diagnostics"]}
+    assert sorted(calls) == sorted(str(REPO_ROOT / f) for f in files)
+
+
+def test_fmt_matches_golden():
+    golden = (GOLDEN_DIR / "fmt.psy").read_text(encoding="utf-8")
+    proc = psysafe("fmt", *CORPUS_ARGS)
+    assert proc.returncode == 0
+    assert proc.stdout == golden
+
+
 @pytest.mark.parametrize("name", ["header_only", "pipes"])
 def test_edge_model_outputs_match_goldens(name):
     golden = EDGE_GOLDEN_DIR / name
@@ -326,6 +350,9 @@ def test_edge_model_outputs_match_goldens(name):
         assert proc.stdout == (golden / file).read_text(encoding="utf-8")
         assert proc.stderr == check.stderr
         assert proc.returncode == check.returncode
+    fmt = psysafe("fmt", model)
+    assert fmt.stdout == (golden / "fmt.psy").read_text(encoding="utf-8")
+    assert fmt.returncode == 0
 
 
 def test_report_requires_format():
@@ -498,13 +525,19 @@ def test_diagnostics_to_a_closed_stderr_exit_2():
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("argv", [
+#: The commands that print a model's strings, and a model with non-ASCII
+#: ones.
+NON_ASCII_ARGVS = [
     ["fmt"], ["report", "--format", "json"], ["report", "--format", "md"],
-], ids=" ".join)
+]
+NON_ASCII_MODEL = ('analysis "café" { sae_level = 3 }\n'
+                   'stakeholder SH1 "Café owner"\n')
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_ARGVS, ids=" ".join)
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
     model = tmp_path / "m.psy"
-    model.write_text('analysis "café" { sae_level = 3 }\n'
-                     'stakeholder SH1 "Café owner"\n', encoding="utf-8")
+    model.write_text(NON_ASCII_MODEL, encoding="utf-8")
     outputs = []
     for encoding in ("ascii", "utf-8"):
         proc = subprocess.run(
@@ -517,3 +550,20 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert "café".encode() in outputs[0]
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_ARGVS, ids=" ".join)
+def test_stdout_that_cannot_encode_the_output_exits_2(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    # main() makes stdout UTF-8; an in-process caller of run() may not.
+    from psysafe.cli import run
+    model = tmp_path / "m.psy"
+    model.write_text(NON_ASCII_MODEL, encoding="utf-8")
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, "ascii"))
+    assert run([*argv, str(model)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"psysafe {argv[0]}: cannot write output: "
+                           "'ascii' codec can't encode character '\\xe9'")
+    assert last.isascii()
+    assert out.getvalue() == b""

@@ -25,7 +25,8 @@ def test_no_input_files_is_a_load_error():
 def test_unreadable_files_are_load_errors(tmp_path):
     bad = tmp_path / "bad.psy"
     bad.write_bytes(b"\xff\xfe")
-    for path in (tmp_path / "missing.psy", tmp_path, bad):
+    # The last name holds a lone surrogate, which no file name can encode.
+    for path in (tmp_path / "missing.psy", tmp_path, bad, "\ud800.psy"):
         with pytest.raises(LoadError):
             load_model([path])
 

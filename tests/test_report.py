@@ -1,10 +1,12 @@
 import json
 
+from hypothesis import given, strategies as st
+
 from psysafe.lints import LintConfig
 from psysafe.loader import load_sources
-from psysafe.report import build_report, emit_json, emit_markdown
+from psysafe.report import Report, build_report, emit_json, emit_markdown
 
-from tests.conftest import GOLDEN_DIR
+from tests.conftest import FUZZ, GOLDEN_DIR
 
 EXPECTED_GOAL_HAZARD = {
     "SG1": ["H1"], "SG2": ["H1", "H2", "H5"], "SG3": ["H3"],
@@ -137,3 +139,22 @@ def test_golden_markdown_report(corpus_model, corpus_config, repo_root,
     monkeypatch.chdir(repo_root)
     golden = (GOLDEN_DIR / "report.md").read_text(encoding="utf-8")
     assert emit_markdown(build_report(corpus_model, corpus_config)) == golden
+
+
+#: Strings with non-ASCII, control characters, quotes, backslashes and
+#: lone surrogates, which the encoder writes as themselves or escapes.
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff')
+                    | st.characters(blacklist_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    lambda children: st.lists(children)
+    | st.dictionaries(JSON_TEXT, children),
+    max_leaves=10)
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_emit_json_writes_what_json_dumps_writes(value):
+    assert emit_json(Report(value, [], None)) == json.dumps(
+        value, indent=2, ensure_ascii=False) + "\n"
