@@ -11,8 +11,9 @@ regen-goldens:
 
 PY ?= python3
 
-# Runs check, report --format json|md and fmt under $(PY) on the corpus and on
-# each tests/golden/*/model.psy, and diffs the output against the goldens.
+# Runs check, check --coverage, report --format json|md and fmt under $(PY) on
+# the corpus and on each tests/golden/*/model.psy, and diffs the output
+# against the goldens.
 # Needs no pytest, so it checks any interpreter pyproject.toml allows; exits
 # non-zero on any difference.
 goldens:
@@ -25,6 +26,8 @@ goldens:
 	  esac; \
 	  $(PY) -m psysafe check $$files 2>&1 >/dev/null \
 	    | diff -u $$golden/diagnostics.txt - || fail=1; \
+	  $(PY) -m psysafe check --coverage $$files 2>/dev/null \
+	    | diff -u $$golden/coverage.txt - || fail=1; \
 	  for fmt in json md; do \
 	    $(PY) -m psysafe report $$files --format $$fmt 2>/dev/null \
 	      | diff -u $$golden/report.$$fmt - || fail=1; \

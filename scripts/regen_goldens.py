@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the golden outputs.
 
-Rewrites report.json, report.md, fmt.psy and diagnostics.txt for the
-bundled corpus (in corpus/paper/golden/) and for each edge model
-tests/golden/<name>/model.psy (next to the model), from the current
-sources and tool version. Each golden is what the CLI writes:
-``report --format json|md --out <golden>``, the stdout of ``fmt``, and
-the stderr of ``check``.
+Rewrites report.json, report.md, fmt.psy, diagnostics.txt and
+coverage.txt for the bundled corpus (in corpus/paper/golden/) and for each
+edge model tests/golden/<name>/model.psy (next to the model), from the
+current sources and tool version. Each golden is what the CLI writes:
+``report --format json|md --out <golden>``, the stdout of ``fmt``, the
+stderr of ``check`` and the stdout of ``check --coverage``.
 Run from anywhere; paths are anchored at the repository root. Review the
 diff before committing.
 """
@@ -43,7 +43,10 @@ def write_goldens(files: list[Path], golden: Path) -> None:
                                     encoding="utf-8")
     (golden / "diagnostics.txt").write_text(psysafe("check", *names)[1],
                                             encoding="utf-8")
-    for name in ("report.json", "report.md", "fmt.psy", "diagnostics.txt"):
+    (golden / "coverage.txt").write_text(
+        psysafe("check", "--coverage", *names)[0], encoding="utf-8")
+    for name in ("report.json", "report.md", "fmt.psy", "diagnostics.txt",
+                 "coverage.txt"):
         print(f"wrote {golden / name}")
 
 

@@ -97,19 +97,23 @@ class LexResult(NamedTuple):
     allows: dict[int, frozenset[str]]
 
 
-def tokenize(source: str, file: str = "<input>") -> LexResult:
+def tokenize(source: str, file: str = "<input>",
+             first_line: int = 1) -> LexResult:
     """Lex ``source`` into tokens, recovering from lexical errors.
 
     One pattern match reads each token with the blanks before it, and
     each line end. All non-whitespace, non-comment input is covered by
     tokens; on error a diagnostic is recorded and lexing continues on the
     next character or line. The token list never contains an EOF sentinel.
+
+    ``first_line`` numbers the first line of ``source``, a run of lines
+    from a larger file; a leading BOM is skipped only on line 1.
     """
     res = LexResult([], [], {})
     append = res.tokens.append
-    line = 1
+    line = first_line
     # Offset of the current line's first column; a leading BOM takes none.
-    line_start = 1 if source.startswith("\ufeff") else 0
+    line_start = 1 if first_line == 1 and source.startswith("\ufeff") else 0
     for m in _TOKEN_RE.finditer(source, line_start):
         kind = m.lastgroup
         if kind == "newline":

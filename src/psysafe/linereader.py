@@ -2,13 +2,12 @@
 
 It reads declarations on one line and entity blocks of one property a
 line by patterns compiled from :data:`psysafe.model.DECLS`, skips blank
-lines and records the allows of comment lines. Any other line above the
-first such declaration opens the prelude (the header): lines 1 to that
-declaration, read by the token reader. Any other line after it, a
-diagnostic in the prelude or a prelude with no declaration after it sends
-the whole file to the token reader, so every diagnostic is the token
-reader's. Only inputs above ``FAST_MIN_CHARS`` import this module, so small
-ones never compile it.
+lines and records the allows of comment lines. A file is cut into runs of
+lines, each from line 1 or from a line whose first word is a declaration
+keyword; each stretch of runs the patterns cannot read (the header, a
+broken or odd declaration) goes to the token reader alone, so every
+diagnostic is the token reader's. Only inputs above ``FAST_MIN_CHARS``
+import this module, so small ones never compile it.
 """
 
 from __future__ import annotations
@@ -16,10 +15,11 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .diagnostics import SourceSpan
-from .lexer import _ESCAPE_RE, KEYWORDS, _new, _record_allow
+from .diagnostics import Diagnostic, SourceSpan
+from .lexer import (_ESCAPE_RE, KEYWORDS, Token, TokenKind, _new,
+                    _record_allow, tokenize)
 from .model import DECLS, Field, Form, spelling
-from .parser import _PLANS, RawModel, _block_error, read_source
+from .parser import _PLANS, RawModel, _block_error, parse
 
 _ID = "[A-Za-z][A-Za-z0-9_.]*"
 #: A string allows only the escapes the lexer decodes, \" and \\.
@@ -112,85 +112,125 @@ def _line_readers() -> dict:
 
 
 def _read_block(lines: list[str], number: int, pos: int, values: dict,
-                item, props: tuple, allows: dict) -> int | None:
+                item, props: tuple, allows: dict) -> int:
     """Read into ``values`` the entity block whose ``{`` ends before
     ``pos`` of line ``number`` and record its allows: the line of its
-    ``}``, or None when the token reader must read the whole file. Each
-    property is on one line with its value; ``item`` and ``props`` are the
-    last two entries of a reader's block."""
+    ``}``. Raises ValueError when the patterns cannot read it, so that the
+    token reader reads its run. Each property is on one line with its
+    value; ``item`` and ``props`` are the last two entries of a reader's
+    block."""
     for number in range(number, len(lines) + 1):
         line = lines[number - 1]
         while m := item(line, pos):
             attr, convert, keeps = props[m.lastindex - 1]
-            try:
-                value = convert(m[m.lastindex])
-            except ValueError:  # the token reader would report it
-                return None
+            value = convert(m[m.lastindex])
             values[attr] = values[attr] + (value,) if keeps else value
             pos = m.end()
         if not (end := _LINE_END(line, pos)):
-            return None
+            raise ValueError(line)
         if end[2]:  # a comment, recorded as the lexer records it
             _record_allow(allows, end[2], number)
         if end[1]:
-            return None if _block_error(values) else number
+            if _block_error(values):  # the token reader reports it
+                raise ValueError(line)
+            return number
         pos = 0
-    return None  # no '}'
+    raise ValueError("no '}'")
 
 
-def _read_lines(source: str, file: str) -> tuple[RawModel, dict] | None:
-    """The raw model and allows of ``source``, or None to read it whole
-    with the token reader, which otherwise reads only the prelude: lines 1
-    to the first declaration, if any is not blank or a comment."""
+def _read_lines(source: str, file: str
+                ) -> tuple[RawModel, list[Diagnostic], dict]:
+    """The raw model, diagnostics and allows of ``source``, as the token
+    reader gives them over the whole file.
+
+    A run of lines starts at line 1 or at a line whose first word is a
+    declaration keyword. The patterns read a run whose first line holds a
+    declaration, perhaps opening an entity block of one property a line,
+    and whose other lines are blank or comments. Each stretch of adjacent
+    runs they cannot read goes to the token reader, with the keyword of
+    the next run as the token it stops before: no declaration reads such a
+    keyword as a field, so a parse of the whole file restarts there too.
+    Once the unread runs (the run of line 1 not counted when no keyword
+    opens it) outnumber the declarations read so far, the token reader
+    reads the rest of the file in one call.
+    """
     readers = _line_readers()
     # The lexer's line ends; str.splitlines also splits at \f and others.
     lines = (re.split(r"\r\n?|\n", source) if "\r" in source
              else source.split("\n"))
-    allows, header, decls = {}, None, []
-    prelude = False  # whether a line before the first declaration is odd
+    allows, header, decls, lexed, parsed = {}, None, [], [], []
+
+    def read(first: int, stop: int | None = None) -> None:
+        """Read lines ``first`` to ``stop`` (not included; the end when
+        None) with the token reader."""
+        nonlocal header
+        lex = tokenize("\n".join(lines[first - 1:stop and stop - 1]), file,
+                       first)
+        tokens, end = lex.tokens, len(lex.tokens)
+        if stop:  # the declaration keyword that opens line stop
+            keyword = lines[stop - 1].partition(" ")[0]
+            tokens.append(Token(TokenKind.KEYWORD, keyword, keyword, file,
+                                stop, 1))
+        model, diagnostics = parse(tokens, file, end)
+        header = model.header or header
+        decls.extend(model.decls)
+        lexed.extend(lex.diagnostics)
+        parsed.extend(diagnostics)
+        allows.update(lex.allows)
+
+    start = 0  # the first line of the open stretch of unread runs, if any
+    unread = 0  # the unread runs, but for the header's
     numbered = enumerate(lines, 1)
     for number, line in numbered:
         reader = readers.get(line.partition(" ")[0])
-        if not (m := reader and reader[0](line)):
+        if reader is None:
             if (end := _LINE_END(line)) and not end[1]:  # blank or a comment
                 if end[2]:
                     _record_allow(allows, end[2], number)
-            elif decls:
-                return None
+                continue
+            if start or not decls:  # in an unread run, or in the header's
+                start = start or 1
+                continue
+            # The run of the last declaration read goes on past its lines.
+            first = decls.pop()[1].start_line
+        else:
+            try:
+                if not (m := reader[0](line)):
+                    raise ValueError(line)
+                _, cls, n, rest, converts, ids, strings, block = reader
+                groups = m.groups()
+                values = [*groups[:n], *rest]
+                for index, convert in converts:
+                    values[index] = convert(values[index])
+                for index in ids:
+                    if values[index] in KEYWORDS:
+                        raise ValueError(line)
+                if "\\" in line:
+                    for index in strings:
+                        if values[index]:
+                            values[index] = _unescape(values[index])
+                if groups[-1]:  # a comment, unless a block opens
+                    _record_allow(allows, groups[-1], number)
+                if block and m[block[0]] is not None:
+                    named = dict(zip(cls._fields, values))
+                    last = _read_block(lines, number, m.start(block[0]),
+                                       named, *block[1:], allows)
+                    values = named.values()
+                    for _ in range(last - number):
+                        next(numbered)  # the block's lines
+            except ValueError:  # the token reader reads this run
+                first = number
             else:
-                prelude = True
-            continue
-        if prelude:
-            # The prelude's allows hold those recorded so far.
-            model, diagnostics, allows = read_source(
-                "\n".join(lines[:number - 1]), file)
-            if diagnostics:
-                return None
-            header, decls, prelude = model.header, [*model.decls], False
-        _, cls, n, rest, converts, ids, strings, block = reader
-        groups = m.groups()
-        values = [*groups[:n], *rest]
-        try:
-            for index, convert in converts:
-                values[index] = convert(values[index])
-        except ValueError:  # the token reader would report it
-            return None
-        for index in ids:
-            if values[index] in KEYWORDS:
-                return None
-        if "\\" in line:
-            for index in strings:
-                if values[index]:
-                    values[index] = _unescape(values[index])
-        if groups[-1]:  # a comment, unless a block opens
-            _record_allow(allows, groups[-1], number)
-        if block and m[block[0]] is not None:
-            named = dict(zip(cls._fields, values))
-            if not (last := _read_block(lines, number, m.start(block[0]),
-                                        named, *block[1:], allows)):
-                return None
-            values = named.values()
-            for _ in range(last - number):
-                next(numbered)  # the block's lines
-        decls.append((_new(cls, values), _new(SourceSpan, (file, number, 1))))
-    return None if prelude else (RawModel(header, tuple(decls)), allows)
+                if start:
+                    read(start, number)
+                    start = 0
+                decls.append((_new(cls, values),
+                              _new(SourceSpan, (file, number, 1))))
+                continue
+        unread += 1
+        start = start or first
+        if unread > len(decls):
+            break
+    if start:
+        read(start)
+    return RawModel(header, tuple(decls)), lexed + parsed, allows

@@ -3,8 +3,9 @@
 Multiple input files form one model: each is read on its own (spans keep
 their own file names) by ``parser``'s token reader, which gives every
 diagnostic, or, above ``FAST_MIN_CHARS``, by ``linereader``, which leaves
-it only the header, or the whole file on an odd layout. They are
-concatenated in argument order before resolution. Lint suppressions from
+it only the runs of lines its patterns cannot read: the header and each
+broken declaration. They are concatenated in argument order before
+resolution. Lint suppressions from
 ``# psysafe-allow`` comments ride along keyed by (file, line).
 """
 

@@ -3,7 +3,9 @@
 The grammar is keyword-led and LL(1): every declaration starts with a
 distinct keyword, so recovery after a syntax error skips to the next
 declaration keyword and at most one diagnostic is emitted per broken
-declaration.
+declaration. No field reads a declaration keyword, so a parse reaches
+every declaration keyword ready to read its declaration; a declaration
+cut short there is reported once, at that keyword.
 
 The grammar is written out in ``docs/language.md``. Each declaration's
 syntax is not restated here: the parser walks the fields of its entry in
@@ -18,8 +20,9 @@ one header across the concatenation.
 :func:`read_source` has two readers. The token reader is :func:`tokenize`
 then :func:`parse`. The line reader, :mod:`psysafe.linereader`, reads the
 usual layouts of large inputs by patterns, and leaves the token reader
-the header, or the whole file on an odd layout, so every diagnostic is the
-token reader's.
+the runs of lines its patterns cannot read, each from a declaration
+keyword at the start of a line (or line 1) up to the next one it reads, so
+every diagnostic is the token reader's.
 """
 
 from __future__ import annotations
@@ -188,10 +191,14 @@ class _Parser:
                 return
             self.advance()
 
-    def file_(self) -> RawModel:
+    def file_(self, end: int) -> RawModel:
+        """The declarations of the tokens before index ``end``; a token
+        from there on is a declaration keyword, which ends any declaration
+        before it."""
         header: RawHeader | None = None
         decls: list[tuple[object, SourceSpan]] = []
-        while (tok := self.peek()) is not None:
+        while self.pos < end:
+            tok = self.tokens[self.pos]
             if tok.kind is TokenKind.KEYWORD and tok.text == "analysis":
                 kw = self.advance()
                 try:
@@ -265,16 +272,19 @@ _PLANS = {
     for cls, spec in DECLS.items() for keyword in spec.keywords}
 
 
-def parse(tokens: list[Token],
-          file: str = "<input>") -> tuple[RawModel, list[Diagnostic]]:
+def parse(tokens: list[Token], file: str = "<input>",
+          end: int | None = None) -> tuple[RawModel, list[Diagnostic]]:
     """Parse a token stream into a RawModel.
 
     Returns the model alongside any syntax diagnostics; with k independent
     syntax errors in k declarations, exactly k diagnostics come back and
-    the remaining declarations still parse.
+    the remaining declarations still parse. With ``end``, the parse stops
+    before ``tokens[end]``, which must be a declaration keyword; a
+    declaration it cuts short is reported at it, as in a parse of the
+    whole file.
     """
     p = _Parser(tokens, file)
-    model = p.file_()
+    model = p.file_(len(tokens) if end is None else end)
     return model, p.diagnostics
 
 
@@ -286,12 +296,11 @@ FAST_MIN_CHARS = 75_000
 def read_source(source: str, file: str = "<input>", fast: bool = False
                 ) -> tuple[RawModel, list[Diagnostic], dict]:
     """One file's raw model, diagnostics and allows (line -> rule IDs).
-    ``fast`` tries the line reader first, which leaves the token reader the
-    header, or the whole file on odd layouts; the result is the same."""
+    ``fast`` takes the line reader, which leaves the token reader only the
+    runs of lines its patterns cannot read; the result is the same."""
     if fast:
         from .linereader import _read_lines  # compiled for large inputs only
-        if (read := _read_lines(source, file)) is not None:
-            return read[0], [], read[1]
+        return _read_lines(source, file)
     lex = tokenize(source, file)
     model, diagnostics = parse(lex.tokens, file)
     return model, lex.diagnostics + diagnostics, lex.allows

@@ -66,6 +66,12 @@ def test_check_diagnostics_match_golden():
     assert proc.stderr == golden
 
 
+def test_check_coverage_matches_golden():
+    golden = (GOLDEN_DIR / "coverage.txt").read_text(encoding="utf-8")
+    proc = psysafe("check", "--coverage", *CORPUS_ARGS)
+    assert proc.stdout == golden
+
+
 def test_check_unreadable_file_exits_2():
     for path in ("no/such/file.psy", "corpus"):  # missing, a directory
         proc = psysafe("check", path)
@@ -353,6 +359,11 @@ def test_edge_model_outputs_match_goldens(name):
     fmt = psysafe("fmt", model)
     assert fmt.stdout == (golden / "fmt.psy").read_text(encoding="utf-8")
     assert fmt.returncode == 0
+    coverage = psysafe("check", "--coverage", model)
+    assert coverage.stdout == (golden / "coverage.txt").read_text(
+        encoding="utf-8")
+    assert (coverage.stderr, coverage.returncode) == (check.stderr,
+                                                     check.returncode)
 
 
 def test_report_requires_format():

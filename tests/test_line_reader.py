@@ -6,13 +6,14 @@ diagnostics and the allows. The properties call it directly, so the
 cut-off that keeps small files on the token reader does not apply.
 """
 
+import re
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psysafe import parser
+from psysafe import linereader
 from psysafe.diagnostics import DiagnosticError
 from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.linereader import _line_readers, _read_lines
@@ -230,63 +231,100 @@ def test_benchmark_inputs_read_alike(seed, units, variant):
         assert_same(text, path)
 
 
-#: One input for each thing that sends the whole file to the token reader.
+#: One input for each thing the token reader reads, with the runs of
+#: lines, (first, last), that it reads: those the patterns cannot read. A
+#: stretch of adjacent odd runs is read in one call, with the keyword of
+#: the next run as the token the parse stops before; a run of line 1 that
+#: no declaration keyword opens is the header's.
 FALLBACKS = {
-    "diagnostic in a region": 'stakeholder SH1 "s"\nstake ST1 "s" of SH1 @',
-    "continued ID list": 'hazard H1 "h" leads_to L1\n  , L2',
+    "diagnostic in a region":
+        ('stakeholder SH1 "s"\nstake ST1 "s" of SH1 @', [(2, 2)]),
+    "continued ID list": ('hazard H1 "h" leads_to L1\n  , L2', [(1, 2)]),
     "header after a declaration":
-        'stakeholder SH1 "s"\nanalysis "t" { sae_level = 2 }',
-    "header after a region": 'analysis "t" {\n sae_level = 2 }\n'
-                             'stakeholder SH1 "s"\n'
-                             'analysis "u" { sae_level = 3 }',
-    "keyword ID": 'loss L1 "l" violates ST1, loss',
-    "keyword key": 'stake stake "s" of SH1',
-    "empty string": 'stakeholder SH1 ""',
-    "zero": 'controller C1 "c" level 00',
-    "integer too long": 'process P1 "p" level ' + "9" * 5000,
-    "BOM on line 2": 'stakeholder SH1 "s"\n\ufeffstakeholder SH2 "t"',
+        ('stakeholder SH1 "s"\nanalysis "t" { sae_level = 2 }', [(1, 2)]),
+    "header after a region": ('analysis "t" {\n sae_level = 2 }\n'
+                              'stakeholder SH1 "s"\n'
+                              'analysis "u" { sae_level = 3 }',
+                              [(1, 2), (3, 4)]),
+    "keyword ID": ('loss L1 "l" violates ST1, loss', [(1, 1)]),
+    "keyword key": ('stake stake "s" of SH1', [(1, 1)]),
+    "empty string": ('stakeholder SH1 ""', [(1, 1)]),
+    "zero": ('controller C1 "c" level 00', [(1, 1)]),
+    "integer too long": ('process P1 "p" level ' + "9" * 5000, [(1, 1)]),
+    "BOM on line 2":
+        ('stakeholder SH1 "s"\n\ufeffstakeholder SH2 "t"', [(1, 2)]),
     "form feed between declarations":
-        'stakeholder SH1 "s"\fstakeholder SH2 "t"',
-    "sa_level out of range": 'controller C1 "c" level 1 { human sa_level 4 }',
+        ('stakeholder SH1 "s"\fstakeholder SH2 "t"', [(1, 1)]),
+    "sa_level out of range":
+        ('controller C1 "c" level 1 { human sa_level 4 }', [(1, 1)]),
     "SA field of a non-human entity":
-        'controller C1 "c" level 1 {\n  psych_state "calm"\n}',
+        ('controller C1 "c" level 1 {\n  psych_state "calm"\n}', [(1, 3)]),
     "integer too long in a block":
-        'controller C1 "c" level 1 { human sa_level ' + "9" * 5000 + " }",
-    "block left open": 'controller C1 "c" level 1 {\n  human',
+        ('controller C1 "c" level 1 { human sa_level ' + "9" * 5000 + " }",
+         [(1, 1)]),
+    "block left open": ('controller C1 "c" level 1 {\n  human', [(1, 2)]),
     "prelude with no declaration after it":
-        'analysis "t" {\n  sae_level = 2 }\n# a comment',
+        ('analysis "t" {\n  sae_level = 2 }\n# a comment', [(1, 3)]),
     "declaration continued after the first declaration":
-        'stakeholder SH1 "s"\nhazard H1 "h"\n  leads_to L1',
+        ('stakeholder SH1 "s"\nhazard H1 "h"  # psysafe-allow PSY004\n'
+         '  leads_to L1\nstakeholder SH2 "t"', [(2, 3)]),
+    "keyword ID between declarations":
+        ('stakeholder SH1 "s"\nloss L1 "l" violates ST1, loss\n'
+         'stakeholder SH2 "t"', [(2, 2)]),
+    "declaration cut short by the next":
+        ('stakeholder SH1 "s"\nstake ST1 "s"\nloss L1 "l" violates ST1',
+         [(2, 2)]),
+    "adjacent odd runs":
+        ('stakeholder SH1 "s"\nstakeholder SH2 "t"\n'
+         'stake ST1 "s" of SH1 @\nstake ST2 "s"  # of\n  of SH2\n'
+         'stakeholder SH3 "u"', [(3, 5)]),
+    "odd runs outnumbering the declarations read":
+        ('stakeholder SH1 "s"\nstake ST1 "s" of SH1 @\n'
+         'stake ST2 "s" of SH1 @\nstakeholder SH2 "t"', [(2, 4)]),
 }
 
 
-@pytest.mark.parametrize("text", FALLBACKS.values(), ids=FALLBACKS)
-def test_what_the_token_reader_would_report_falls_back(text):
-    assert _read_lines(text, "t.psy") is None
-    assert_same(text)
-
-
-def test_a_continued_declaration_in_the_prelude_takes_the_line_reader(
-        monkeypatch):
-    prelude = 'hazard H1 "h"  # psysafe-allow PSY004\n  leads_to L1'
-    text = prelude + '\nstakeholder SH1 "s"'
+def spy_tokenize(monkeypatch) -> list[tuple]:
+    """The arguments of each call the line reader makes to ``tokenize``."""
     calls = []
-    monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(
+    monkeypatch.setattr(linereader, "tokenize", lambda *args: calls.append(
         args) or tokenize(*args))
-    assert _read_lines(text, "t.psy") is not None
-    assert calls == [(prelude, "t.psy")]
+    return calls
+
+
+def token_runs(lines: list[str], file: str, runs) -> list[tuple]:
+    """The ``tokenize`` calls that read the runs (first, last) of
+    ``lines``."""
+    return [("\n".join(lines[first - 1:last]), file, first)
+            for first, last in runs]
+
+
+@pytest.mark.parametrize("text,runs", FALLBACKS.values(), ids=FALLBACKS)
+def test_what_the_token_reader_would_report_falls_back(text, runs,
+                                                       monkeypatch):
+    calls = spy_tokenize(monkeypatch)
     assert_same(text)
+    assert calls == token_runs(text.split("\n"), "t.psy", runs)
 
 
-def test_clean_files_take_the_line_reader(corpus_files):
-    # The properties above would pass if every file fell back whole.
+def test_clean_files_take_the_line_reader(corpus_files, monkeypatch):
+    # The properties above would pass if every file went to the token
+    # reader whole.
     texts = [path.read_text(encoding="utf-8") for path in corpus_files]
     texts += [print_canonical(random_model(seed)) for seed in range(20)]
     texts += [text for _, text in gen.generate(1, 16, "x").files]
     texts.append("\ufeff" + texts[0])
+    calls = spy_tokenize(monkeypatch)
     for text in texts:
-        assert _read_lines(text, "t.psy") is not None
+        calls.clear()
         assert_same(text)
+        lines = text.split("\n")
+        header = next(number for number, line in enumerate(lines, 1)
+                      if line.partition(" ")[0] in _PLANS)
+        # At most the lines before the first declaration, from line 1.
+        assert len(calls) <= 1
+        assert all(first == 1 and source.count("\n") + 1 < header
+                   for source, _, first in calls)
 
 
 def test_one_line_declarations_skip_the_token_reader(corpus_files,
@@ -306,15 +344,13 @@ def test_one_line_declarations_skip_the_token_reader(corpus_files,
     model, _, allows = token_reader(text, "t.psy")
     assert len(allows) == 4
     assert sum(isinstance(decl, Entity) for decl, _ in model.decls) > 4
-    monkeypatch.setattr(parser, "tokenize", None)  # calling it would fail
-    assert _read_lines(text, "t.psy") == (model, allows)
+    monkeypatch.setattr(linereader, "tokenize", None)  # calling it fails
+    assert _read_lines(text, "t.psy") == (model, [], allows)
 
 
 def test_benchmark_inputs_reach_the_token_reader_only_for_the_header(
         monkeypatch):
-    calls = []
-    monkeypatch.setattr(parser, "tokenize", lambda *args: calls.append(
-        args) or tokenize(*args))
+    calls = spy_tokenize(monkeypatch)
     model = gen.generate(1, 6, "x", n_files=3)
     for path, text in model.files:
         read_source(text, path, fast=True)
@@ -322,7 +358,47 @@ def test_benchmark_inputs_reach_the_token_reader_only_for_the_header(
     lines = text.split("\n")
     first = next(number for number, line in enumerate(lines)
                  if line.partition(" ")[0] in _PLANS)
-    assert calls == [("\n".join(lines[:first]), path)]
+    assert calls == [("\n".join(lines[:first]), path, 1)]
+
+
+def runs_of(lines: list[str]) -> list[tuple[int, int]]:
+    """The runs (first, last) of ``lines``: each from line 1 or from a
+    line whose first word is a declaration keyword."""
+    starts = [1] + [number for number, line in enumerate(lines, 1)
+                    if number > 1 and line.partition(" ")[0] in _PLANS]
+    return list(zip(starts, [start - 1 for start in starts[1:]]
+                    + [len(lines)]))
+
+
+#: Seeds whose broken files do not start with a broken declaration: on
+#: seed 1 one does, so odd runs outnumber the declarations read at once and
+#: the token reader reads that whole file.
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_broken_benchmark_inputs_send_only_broken_runs(seed, monkeypatch):
+    # Each call reads whole runs, each broken, next to a broken one or the
+    # header's, and every broken run is read by one. The rest of a file,
+    # sent once odd runs outnumber the declarations read, would fail this.
+    base = gen.generate(seed, 16, "x", n_files=2)
+    broken = gen.with_syntax_defects(base, seed, 0.15, "y")
+    calls = spy_tokenize(monkeypatch)
+    for (_, clean), (path, text) in zip(base.files, broken.files):
+        lines, before = (re.split(r"\r\n?|\n", t) for t in (text, clean))
+        runs = runs_of(lines)
+        bad = [lines[first - 1:last] != before[first - 1:last]
+               for first, last in runs]
+        header = lines[0].partition(" ")[0] not in _PLANS  # run 0's
+        calls.clear()
+        assert_same(text, path)
+        read = []
+        for source, _, first in calls:
+            last = first + source.count("\n")
+            ks = [k for k, run in enumerate(runs) if first <= run[0] <= last]
+            assert (runs[ks[0]][0], runs[ks[-1]][1]) == (first, last)
+            read += ks
+        assert [k for k in read if not (k == 0 and header)
+                and not any(bad[max(k - 1, 0):k + 2])] == []
+        assert {k for k, b in enumerate(bad) if b} <= set(read)
+        assert any(bad)
 
 
 def big_model(extra: str = "") -> str:
@@ -359,6 +435,23 @@ def test_error_in_an_entity_block_after_line_reader_lines():
     assert line > 1000
     assert load_errors(text) == [
         (line, 18, "unsupported escape sequence '\\q'")]
+
+
+def test_an_entity_block_opened_on_the_next_line_is_read_alone(
+        monkeypatch):
+    # The patterns read an entity's "{" only on its declaration's line.
+    lines = big_model().split("\n")
+    middle = len(lines) // 2
+    lines[middle:middle] = ['controller C1 "c" level 1', "{", "  human",
+                            "  sa_level 2", "}", "# after the block"]
+    text = "\n".join(lines)
+    calls = spy_tokenize(monkeypatch)
+    assert_same(text, "big.psy")
+    assert calls == token_runs(lines, "big.psy",
+                               [(1, 1), (middle + 1, middle + 6)])
+    model, _ = load_sources([("big.psy", text)])
+    [entity] = model.structure.entities
+    assert (entity.id, entity.is_human, entity.sa_level) == ("C1", True, 2)
 
 
 def test_patterns_compile_once_and_only_for_large_inputs(corpus_files):

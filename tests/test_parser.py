@@ -2,9 +2,10 @@ import pytest
 
 from psysafe.diagnostics import SourceSpan
 from psysafe.lexer import KEYWORDS, tokenize
-from psysafe.model import (DECLS, EntityKind, Form, Hazard, Loss, Uca,
+from psysafe.model import (DECLS, EntityKind, Form, Hazard, Loss,
+                           Stakeholder, Uca,
                            UcaKind, spelling)
-from psysafe.parser import merge_raw_models, parse, read_source
+from psysafe.parser import _PLANS, merge_raw_models, parse, read_source
 
 
 def parse_text(text, file="t.psy"):
@@ -456,10 +457,50 @@ def test_recovery_stops_at_exactly_the_table_declaration_keywords():
     assert stops == table | {"analysis"}
 
 
+#: Where a parse of the whole file restarts: the words that open a run of
+#: lines for the line reader.
+STARTS = set(_PLANS) | {"analysis"}
+
+
+def test_no_field_reads_a_declaration_keyword():
+    words = {"sae_level", "boundary"}
+    for spec in DECLS.values():
+        for f in spec.fields + spec.block:
+            if f.keyword is not None:
+                words.add(f.keyword)
+            if not isinstance(f.form, Form):
+                words.update(spelling(m) for m in f.form)
+    assert "human" in words and "context" in words
+    assert STARTS.isdisjoint(words)
+
+
+def test_a_parse_restarts_at_every_declaration_keyword(corpus_files):
+    # Any token prefix of a declaration line, then a declaration on the
+    # next line: the prefix costs at most one finding, where that
+    # declaration starts at the latest, which still parses.
+    kinds = set()
+    for path in corpus_files:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.partition(" ")[0] not in _PLANS:
+                continue
+            tokens = tokenize(line).tokens
+            for tok in tokens:
+                text = line[:tok.col - 1 + len(tok.text)]
+                lex = tokenize(text + '\nstakeholder SHX "s"', "t.psy")
+                model, diags = parse(lex.tokens, "t.psy")
+                assert model.decls[-1] == (Stakeholder("SHX", "s"),
+                                           SourceSpan("t.psy", 2, 1)), text
+                found = lex.diagnostics + diags
+                assert len(found) <= 1, text
+                assert all(d.span[1:] <= (2, 1) for d in found), text
+            kinds.add(_PLANS[tokens[0].text][0])
+    assert kinds == set(DECLS)  # every declaration type
+
+
 #: Declarations split across lines: each reads as the same record as its
 #: one-line form, and starts where it does. None of these continuation
-#: lines starts with a declaration keyword, so the line reader leaves each
-#: text whole to the token reader.
+#: lines starts with a declaration keyword, so each text is one run of
+#: lines, which the line reader leaves whole to the token reader.
 SPLIT = [
     'hazard H1 "h" leads_to L1\n  , L2',
     'hazard H1 "h" leads_to L1, L2\n  context "c"',
