@@ -151,8 +151,9 @@ def _read_lines(source: str, file: str
     the next run as the token it stops before: no declaration reads such a
     keyword as a field, so a parse of the whole file restarts there too.
     Once the unread runs (the run of line 1 not counted when no keyword
-    opens it) outnumber the declarations read so far, the token reader
-    reads the rest of the file in one call.
+    opens it) outnumber the declarations read so far plus one, the token
+    reader reads the rest of the file in one call; the one spared lets a
+    file whose first declaration is odd keep the patterns for the rest.
     """
     readers = _line_readers()
     # The lexer's line ends; str.splitlines also splits at \f and others.
@@ -229,7 +230,7 @@ def _read_lines(source: str, file: str
                 continue
         unread += 1
         start = start or first
-        if unread > len(decls):
+        if unread > len(decls) + 1:
             break
     if start:
         read(start)

@@ -280,7 +280,8 @@ FALLBACKS = {
          'stakeholder SH3 "u"', [(3, 5)]),
     "odd runs outnumbering the declarations read":
         ('stakeholder SH1 "s"\nstake ST1 "s" of SH1 @\n'
-         'stake ST2 "s" of SH1 @\nstakeholder SH2 "t"', [(2, 4)]),
+         'stake ST2 "s" of SH1 @\nstake ST3 "s" of SH1 @\n'
+         'stakeholder SH2 "t"', [(2, 5)]),
 }
 
 
@@ -305,6 +306,19 @@ def test_what_the_token_reader_would_report_falls_back(text, runs,
     calls = spy_tokenize(monkeypatch)
     assert_same(text)
     assert calls == token_runs(text.split("\n"), "t.psy", runs)
+
+
+def test_a_continued_declaration_in_the_prelude_takes_the_line_reader(
+        monkeypatch):
+    # Only the continued declaration before the first one-line declaration
+    # goes to the token reader; the rest of the file takes the patterns.
+    prelude = 'hazard H1 "h"  # psysafe-allow PSY004\n  leads_to L1'
+    text = prelude + '\nstakeholder SH1 "s"'
+    calls = spy_tokenize(monkeypatch)
+    model, _, allows = _read_lines(text, "t.psy")
+    assert calls == [(prelude, "t.psy", 1)]
+    assert len(model.decls) == 2 and allows
+    assert_same(text)
 
 
 def test_clean_files_take_the_line_reader(corpus_files, monkeypatch):
@@ -370,14 +384,14 @@ def runs_of(lines: list[str]) -> list[tuple[int, int]]:
                     + [len(lines)]))
 
 
-#: Seeds whose broken files do not start with a broken declaration: on
-#: seed 1 one does, so odd runs outnumber the declarations read at once and
-#: the token reader reads that whole file.
-@pytest.mark.parametrize("seed", [2, 3, 5])
+#: On seed 1 one broken file starts with a broken declaration, the odd
+#: run the outnumber rule spares.
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
 def test_broken_benchmark_inputs_send_only_broken_runs(seed, monkeypatch):
     # Each call reads whole runs, each broken, next to a broken one or the
     # header's, and every broken run is read by one. The rest of a file,
-    # sent once odd runs outnumber the declarations read, would fail this.
+    # sent once odd runs outnumber the declarations read plus one, would
+    # fail this.
     base = gen.generate(seed, 16, "x", n_files=2)
     broken = gen.with_syntax_defects(base, seed, 0.15, "y")
     calls = spy_tokenize(monkeypatch)
