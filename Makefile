@@ -1,7 +1,8 @@
 .PHONY: test acceptance regen-goldens goldens bench bench-ab parity bench-record bench-smoke importtime profile loc verify
 
+# The tier-1 tests of ROADMAP.md.
 test:
-	PYTHONPATH=src python3 -m pytest
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 acceptance:
 	PYTHONPATH=src python3 -m pytest tests/test_acceptance.py -v -s
@@ -11,32 +12,11 @@ regen-goldens:
 
 PY ?= python3
 
-# Runs check, check --coverage, report --format json|md and fmt under $(PY) on
-# the corpus and on each tests/golden/*/model.psy, and diffs the output
-# against the goldens.
-# Needs no pytest, so it checks any interpreter pyproject.toml allows; exits
-# non-zero on any difference.
+# Runs the golden test of tests/test_cli.py under $(PY): the commands of each
+# row of GOLDENS in scripts/regen_goldens.py, through python -m psysafe, on
+# each golden set, byte-compared with the goldens. Needs pytest under $(PY).
 goldens:
-	@export PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1; fail=0; \
-	for golden in corpus/paper/golden tests/golden/*/; do \
-	  golden=$${golden%/}; \
-	  case $$golden in \
-	    corpus/*) files='corpus/paper/*.psy';; \
-	    *) files=$$golden/model.psy;; \
-	  esac; \
-	  $(PY) -m psysafe check $$files 2>&1 >/dev/null \
-	    | diff -u $$golden/diagnostics.txt - || fail=1; \
-	  $(PY) -m psysafe check --coverage $$files 2>/dev/null \
-	    | diff -u $$golden/coverage.txt - || fail=1; \
-	  for fmt in json md; do \
-	    $(PY) -m psysafe report $$files --format $$fmt 2>/dev/null \
-	      | diff -u $$golden/report.$$fmt - || fail=1; \
-	  done; \
-	  $(PY) -m psysafe fmt $$files 2>/dev/null \
-	    | diff -u $$golden/fmt.psy - || fail=1; \
-	done; \
-	if [ $$fail = 0 ]; then echo "goldens match under $$($(PY) -V)"; fi; \
-	exit $$fail
+	PYTHONPATH=src $(PY) -m pytest -q tests/test_cli.py -k test_outputs_match_goldens
 
 W ?= synth-trace
 SEED ?= 1
@@ -64,8 +44,10 @@ parity:
 
 # Runs every workload once and writes BENCH_$(PR).json: one JSON object
 # that maps each workload to the result line of perfbench/run.py. Stops,
-# writing nothing, when a run fails.
-WORKLOADS = paper-cli synth-16k synth-trace synth-broken
+# writing nothing, when a run fails. The workloads are those of
+# BENCHMARK.json.
+WORKLOADS = $(shell python3 -c 'import json; print(*(w["name"] for w in \
+  json.load(open("BENCHMARK.json"))["workloads"]))')
 
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=n" >&2; exit 2; }
@@ -105,11 +87,9 @@ loc:
 	@wc -l src/psysafe/*.py | tail -n 1
 
 # The checks every change reports, in the order it reports them: the
-# tier-1 tests of ROADMAP.md, the goldens through python -m psysafe (so
-# through main(), which in-process tests do not reach), the benchmark smoke
-# test, the src/ line count.
+# tier-1 tests (the goldens among them, through python -m psysafe), the
+# benchmark smoke test, the src/ line count.
 verify:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
-	@$(MAKE) --no-print-directory goldens
+	@$(MAKE) --no-print-directory test
 	@$(MAKE) --no-print-directory bench-smoke
 	@$(MAKE) --no-print-directory loc

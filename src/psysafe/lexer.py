@@ -48,6 +48,11 @@ KEYWORDS = frozenset({
       if isinstance(m.value, str)),
 })
 
+#: The lexical classes the line reader also reads: an identifier, an
+#: integer (ASCII digits) and a line end.
+_IDENT_PATTERN = "[A-Za-z][A-Za-z0-9_.]*"
+_INT_PATTERN = "[0-9]+"
+_NEWLINE_PATTERN = r"\r\n?|\n"
 #: Blanks, then one alternative per lexical class, told apart by the first
 #: character; none crosses a line end. Each class's group holds the whole
 #: token, so one match reads a token and the blanks before it. The end of
@@ -55,14 +60,14 @@ KEYWORDS = frozenset({
 #: body is the unrolled form of ``([^"\\\r\n]|\\[^\r\n])*``. A backslash
 #: before the line end belongs to an unterminated string, but ``\`` after a
 #: closed one is illegal.
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     [ \t]* (?:
-    (?P<ident> [A-Za-z][A-Za-z0-9_.]* )
-  | (?P<newline> \r\n?|\n|\Z )
-  | (?P<punct> [{}=,] )
+    (?P<ident> {_IDENT_PATTERN} )
+  | (?P<newline> {_NEWLINE_PATTERN}|\Z )
+  | (?P<punct> [{{}}=,] )
   | (?P<string> " (?P<body> [^"\\\r\n]* (?:\\[^\r\n][^"\\\r\n]*)* )
       (?: (?P<closed> ") | \\? ) )
-  | (?P<int> [0-9]+ )
+  | (?P<int> {_INT_PATTERN} )
   | (?P<comment> \# [^\r\n]* )
   | (?P<illegal> . ) )
 """, re.VERBOSE | re.DOTALL)

@@ -16,15 +16,16 @@ import re
 from functools import cache
 
 from .diagnostics import Diagnostic, SourceSpan
-from .lexer import (_ESCAPE_RE, KEYWORDS, Token, TokenKind, _new,
+from .lexer import (_ESCAPE_RE, _IDENT_PATTERN, _INT_PATTERN,
+                    _NEWLINE_PATTERN, KEYWORDS, Token, TokenKind, _new,
                     _record_allow, tokenize)
 from .model import DECLS, Field, Form, spelling
 from .parser import _PLANS, RawModel, _block_error, parse
 
-_ID = "[A-Za-z][A-Za-z0-9_.]*"
 #: A string allows only the escapes the lexer decodes, \" and \\.
-_VALUES = {Form.ID: f"({_ID})", Form.IDS: f"({_ID}(?:[ \t]*,[ \t]*{_ID})*)",
-           Form.INT: "([0-9]+)",
+_VALUES = {Form.ID: f"({_IDENT_PATTERN})",
+           Form.IDS: f"({_IDENT_PATTERN}(?:[ \t]*,[ \t]*{_IDENT_PATTERN})*)",
+           Form.INT: f"({_INT_PATTERN})",
            Form.STRING: r'"([^"\\]*(?:\\["\\][^"\\]*)*)"'}
 #: The end of a line: perhaps the '}' of a block, perhaps a comment.
 _LINE_END = re.compile(r"[ \t]*(\})?[ \t]*(?:#(.*))?").fullmatch
@@ -157,7 +158,7 @@ def _read_lines(source: str, file: str
     """
     readers = _line_readers()
     # The lexer's line ends; str.splitlines also splits at \f and others.
-    lines = (re.split(r"\r\n?|\n", source) if "\r" in source
+    lines = (re.split(_NEWLINE_PATTERN, source) if "\r" in source
              else source.split("\n"))
     allows, header, decls, lexed, parsed = {}, None, [], [], []
 

@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
-from tests.conftest import EDGE_GOLDEN_DIR, GOLDEN_DIR, REPO_ROOT
+from tests.conftest import REPO_ROOT
 
-CORPUS_ARGS = [str(p.relative_to(REPO_ROOT))
-               for p in sorted((REPO_ROOT / "corpus" / "paper").glob("*.psy"))]
+sys.path.append(str(REPO_ROOT / "scripts"))
+from regen_goldens import GOLDENS, golden_sets, outputs  # noqa: E402
+
+GOLDEN_SETS = golden_sets()
+CORPUS_ARGS = GOLDEN_SETS["corpus"].inputs
 
 
 def psysafe(*args, cwd=REPO_ROOT):
@@ -58,18 +62,6 @@ def test_check_corpus_warnings_and_exit_codes():
 
     strict = psysafe("check", "--strict", *CORPUS_ARGS)
     assert strict.returncode == 1
-
-
-def test_check_diagnostics_match_golden():
-    golden = (GOLDEN_DIR / "diagnostics.txt").read_text(encoding="utf-8")
-    proc = psysafe("check", *CORPUS_ARGS)
-    assert proc.stderr == golden
-
-
-def test_check_coverage_matches_golden():
-    golden = (GOLDEN_DIR / "coverage.txt").read_text(encoding="utf-8")
-    proc = psysafe("check", "--coverage", *CORPUS_ARGS)
-    assert proc.stdout == golden
 
 
 def test_check_unreadable_file_exits_2():
@@ -315,12 +307,6 @@ def test_run_leaves_the_collector_as_it_found_it(capsys):
     capsys.readouterr()
 
 
-def test_report_md_matches_golden():
-    golden = (GOLDEN_DIR / "report.md").read_text(encoding="utf-8")
-    proc = psysafe("report", "--format", "md", *CORPUS_ARGS)
-    assert proc.stdout == golden
-
-
 def test_report_relativizes_each_file_once(monkeypatch, capsys):
     from psysafe.cli import run
     monkeypatch.chdir(REPO_ROOT)
@@ -337,33 +323,25 @@ def test_report_relativizes_each_file_once(monkeypatch, capsys):
     assert sorted(calls) == sorted(str(REPO_ROOT / f) for f in files)
 
 
-def test_fmt_matches_golden():
-    golden = (GOLDEN_DIR / "fmt.psy").read_text(encoding="utf-8")
-    proc = psysafe("fmt", *CORPUS_ARGS)
-    assert proc.returncode == 0
-    assert proc.stdout == golden
+@cache
+def set_outputs(name):
+    """The run of each golden's command on golden set ``name``."""
+    return outputs(GOLDEN_SETS[name].inputs)
 
 
-@pytest.mark.parametrize("name", ["header_only", "pipes"])
-def test_edge_model_outputs_match_goldens(name):
-    golden = EDGE_GOLDEN_DIR / name
-    model = str((golden / "model.psy").relative_to(REPO_ROOT))
-    check = psysafe("check", model)
-    assert check.stderr == (golden / "diagnostics.txt").read_text(
-        encoding="utf-8")
-    for fmt, file in (("json", "report.json"), ("md", "report.md")):
-        proc = psysafe("report", "--format", fmt, model)
-        assert proc.stdout == (golden / file).read_text(encoding="utf-8")
-        assert proc.stderr == check.stderr
-        assert proc.returncode == check.returncode
-    fmt = psysafe("fmt", model)
-    assert fmt.stdout == (golden / "fmt.psy").read_text(encoding="utf-8")
-    assert fmt.returncode == 0
-    coverage = psysafe("check", "--coverage", model)
-    assert coverage.stdout == (golden / "coverage.txt").read_text(
-        encoding="utf-8")
-    assert (coverage.stderr, coverage.returncode) == (check.stderr,
-                                                     check.returncode)
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: g.name)
+@pytest.mark.parametrize("name", GOLDEN_SETS)
+def test_outputs_match_goldens(name, golden):
+    runs = set_outputs(name)
+    proc = runs[golden]
+    assert getattr(proc, golden.stream).decode() == (
+        GOLDEN_SETS[name].golden / golden.name).read_bytes().decode()
+    if golden.args[0] == "fmt":
+        assert proc.returncode == 0
+    else:  # check and report print the same findings and exit alike
+        check = runs[next(g for g in GOLDENS if g.args == ("check",))]
+        assert (proc.stderr, proc.returncode) == (check.stderr,
+                                                  check.returncode)
 
 
 def test_report_requires_format():

@@ -2,6 +2,7 @@
 a JSON Schema (draft 2020-12). jsonschema is a test dependency only."""
 
 import json
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -9,8 +10,15 @@ from jsonschema import Draft202012Validator
 from psysafe.cli import run
 from psysafe.printer import print_canonical
 
-from tests.conftest import EDGE_GOLDEN_DIR, GOLDEN_DIR
+from tests.conftest import REPO_ROOT
 from tests.modelgen import random_model
+
+sys.path.append(str(REPO_ROOT / "scripts"))
+from regen_goldens import GOLDENS, golden_sets  # noqa: E402
+
+#: The golden JSON report of each golden set.
+GOLDEN_REPORTS = {name: s.golden / g.name for name, s in golden_sets().items()
+                  for g in GOLDENS if g.args == ("report", "--format", "json")}
 
 IDS = {"type": "array", "items": {"type": "string"}, "uniqueItems": True}
 
@@ -91,7 +99,7 @@ def report_json(capsys, *argv):
 
 def test_schema_is_valid_and_rejects_a_broken_report():
     Draft202012Validator.check_schema(SCHEMA)
-    doc = json.loads((GOLDEN_DIR / "report.json").read_text(encoding="utf-8"))
+    doc = json.loads(GOLDEN_REPORTS["corpus"].read_text(encoding="utf-8"))
     doc["diagnostics"][0]["rule"] = "W7"
     del doc["inventory"]["ucas"]
     errors = Draft202012Validator(SCHEMA).iter_errors(doc)
@@ -101,13 +109,12 @@ def test_schema_is_valid_and_rejects_a_broken_report():
 
 def test_corpus_report_matches_schema(capsys, corpus_files):
     check_report(report_json(capsys, *map(str, corpus_files)))
-    check_report((GOLDEN_DIR / "report.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["header_only", "pipes"])
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
 def test_edge_goldens_match_schema(name):
-    check_report((EDGE_GOLDEN_DIR / name / "report.json").read_text(
-        encoding="utf-8"))
+    # Each golden set's report, the corpus's included.
+    check_report(GOLDEN_REPORTS[name].read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
