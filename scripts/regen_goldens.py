@@ -5,7 +5,9 @@ A golden set is a list of input files and the directory of its goldens:
 the bundled corpus (goldens in corpus/paper/golden/) and each edge model
 tests/golden/<name>/model.psy (goldens next to the model). ``GOLDENS``
 has one row per golden file: the file holds one stream of
-``python -m psysafe <args> <inputs>``, run from the repository root.
+``python -m psysafe <args> <inputs>``, run from the repository root. A
+row whose args hold ``ROOT`` reads it as the set's trace root, the ID the
+set's traces start from; a set with no root has no golden of that row.
 tests/test_cli.py compares the same outputs against the goldens; this
 script rewrites every golden from the current sources and tool version.
 Stdlib only. Run from anywhere. Review the diff before committing.
@@ -28,13 +30,20 @@ class Golden(NamedTuple):
     stream: str
 
 
+#: Stands, in a row's args, for the set's trace root.
+ROOT = "<root>"
+
 GOLDENS = (
     Golden("diagnostics.txt", ("check",), "stderr"),
     Golden("coverage.txt", ("check", "--coverage"), "stdout"),
     Golden("report.json", ("report", "--format", "json"), "stdout"),
     Golden("report.md", ("report", "--format", "md"), "stdout"),
     Golden("fmt.psy", ("fmt",), "stdout"),
+    Golden("trace.txt", ("trace", "--dir", "both", "--from", ROOT), "stdout"),
 )
+
+#: The trace root of each set that has one, by set name.
+TRACE_ROOTS = {"corpus": "H3", "pipes": "H2"}
 
 
 class GoldenSet(NamedTuple):
@@ -43,6 +52,18 @@ class GoldenSet(NamedTuple):
     #: The input files, relative to the repository root, as the goldens
     #: name them.
     inputs: list[str]
+    #: The ID the set's traces start from; None when it has none.
+    root: str | None = None
+
+    def goldens(self) -> tuple[Golden, ...]:
+        """The rows of this set: each row that needs no root, and each
+        that does if the set has one."""
+        return tuple(g for g in GOLDENS if self.root or ROOT not in g.args)
+
+    def argv(self, golden: Golden) -> list[str]:
+        """The CLI arguments of ``golden``'s command on this set."""
+        return [self.root if a == ROOT else a
+                for a in golden.args] + self.inputs
 
 
 def golden_sets() -> dict[str, GoldenSet]:
@@ -51,26 +72,30 @@ def golden_sets() -> dict[str, GoldenSet]:
         return [str(p.relative_to(REPO_ROOT)) for p in sorted(paths)]
     corpus = REPO_ROOT / "corpus" / "paper"
     sets = {"corpus": GoldenSet(corpus / "golden",
-                                relative(corpus.glob("*.psy")))}
+                                relative(corpus.glob("*.psy")),
+                                TRACE_ROOTS.get("corpus"))}
     for model in sorted((REPO_ROOT / "tests" / "golden").glob("*/model.psy")):
-        sets[model.parent.name] = GoldenSet(model.parent, relative([model]))
+        name = model.parent.name
+        sets[name] = GoldenSet(model.parent, relative([model]),
+                               TRACE_ROOTS.get(name))
     return sets
 
 
-def outputs(inputs: list[str]) -> dict[Golden, subprocess.CompletedProcess]:
-    """Run each row's command on ``inputs`` through ``python -m psysafe``,
-    so through ``cli.main()``, with this checkout's sources; stdout and
+def outputs(golden_set: GoldenSet
+            ) -> dict[Golden, subprocess.CompletedProcess]:
+    """Run each of the set's rows through ``python -m psysafe``, so
+    through ``cli.main()``, with this checkout's sources; stdout and
     stderr are bytes."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    return {g: subprocess.run([sys.executable, "-m", "psysafe", *g.args,
-                               *inputs], capture_output=True, cwd=REPO_ROOT,
-                              env=env)
-            for g in GOLDENS}
+    return {g: subprocess.run([sys.executable, "-m", "psysafe",
+                               *golden_set.argv(g)], capture_output=True,
+                              cwd=REPO_ROOT, env=env)
+            for g in golden_set.goldens()}
 
 
 def main() -> None:
     for golden_set in golden_sets().values():
-        for g, proc in outputs(golden_set.inputs).items():
+        for g, proc in outputs(golden_set).items():
             if proc.returncode not in (0, 1):  # 1: error findings
                 sys.exit(f"psysafe {' '.join(proc.args[3:])}: exit "
                          f"{proc.returncode}\n{proc.stderr.decode()}")

@@ -326,11 +326,12 @@ def test_report_relativizes_each_file_once(monkeypatch, capsys):
 @cache
 def set_outputs(name):
     """The run of each golden's command on golden set ``name``."""
-    return outputs(GOLDEN_SETS[name].inputs)
+    return outputs(GOLDEN_SETS[name])
 
 
-@pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: g.name)
-@pytest.mark.parametrize("name", GOLDEN_SETS)
+@pytest.mark.parametrize("name, golden", [
+    pytest.param(name, g, id=f"{name}-{g.name}")
+    for name, golden_set in GOLDEN_SETS.items() for g in golden_set.goldens()])
 def test_outputs_match_goldens(name, golden):
     runs = set_outputs(name)
     proc = runs[golden]
@@ -338,6 +339,8 @@ def test_outputs_match_goldens(name, golden):
         GOLDEN_SETS[name].golden / golden.name).read_bytes().decode()
     if golden.args[0] == "fmt":
         assert proc.returncode == 0
+    elif golden.args[0] == "trace":
+        assert (proc.stderr, proc.returncode) == (b"", 0)
     else:  # check and report print the same findings and exit alike
         check = runs[next(g for g in GOLDENS if g.args == ("check",))]
         assert (proc.stderr, proc.returncode) == (check.stderr,

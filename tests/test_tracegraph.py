@@ -1,3 +1,4 @@
+import sys
 from collections import deque
 
 import pytest
@@ -5,7 +6,11 @@ import pytest
 from psysafe.loader import load_sources
 from psysafe.tracegraph import EdgeType, build_trace_graph, format_trace_tree
 
+from tests.conftest import REPO_ROOT
 from tests.modelgen import random_model
+
+sys.path.append(str(REPO_ROOT / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py, the benchmark's generator)
 
 
 def reach(model, start, direction):
@@ -139,12 +144,16 @@ def reference_trace(model, start, direction):
 
 
 def test_trace_matches_edge_scan_reference():
-    for seed in range(100):
-        model = random_model(seed)
+    # The generated models, then the benchmark's shape: losses and stakes
+    # shared by many hazards, so that traces meet nodes already expanded.
+    models = {f"seed {seed}": random_model(seed) for seed in range(100)}
+    models["benchmark"], _ = load_sources(
+        gen.generate(1, 16, "x", n_files=2, shared=2).files)
+    for name, model in models.items():
         for start in model.entity_ids:
             for direction in ("up", "down", "both"):
                 tree, reached = reference_trace(model, start, direction)
-                where = (seed, start, direction)
+                where = (name, start, direction)
                 assert format_trace_tree(model, start, direction) == tree, \
                     where
                 assert reach(model, start, direction) == reached, where
