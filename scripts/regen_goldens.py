@@ -6,8 +6,9 @@ the bundled corpus (goldens in corpus/paper/golden/) and each edge model
 tests/golden/<name>/model.psy (goldens next to the model). ``GOLDENS``
 has one row per golden file: the file holds one stream of
 ``python -m psysafe <args> <inputs>``, run from the repository root. A
-row whose args hold ``ROOT`` reads it as the set's trace root, the ID the
-set's traces start from; a set with no root has no golden of that row.
+row whose args hold ``TRACE_ROOT`` reads it as the set's trace root, the
+ID the set's traces start from; a set with no root has no golden of that
+row.
 tests/test_cli.py compares the same outputs against the goldens; this
 script rewrites every golden from the current sources and tool version.
 Stdlib only. Run from anywhere. Review the diff before committing.
@@ -31,7 +32,7 @@ class Golden(NamedTuple):
 
 
 #: Stands, in a row's args, for the set's trace root.
-ROOT = "<root>"
+TRACE_ROOT = "<root>"
 
 GOLDENS = (
     Golden("diagnostics.txt", ("check",), "stderr"),
@@ -39,7 +40,8 @@ GOLDENS = (
     Golden("report.json", ("report", "--format", "json"), "stdout"),
     Golden("report.md", ("report", "--format", "md"), "stdout"),
     Golden("fmt.psy", ("fmt",), "stdout"),
-    Golden("trace.txt", ("trace", "--dir", "both", "--from", ROOT), "stdout"),
+    Golden("trace.txt", ("trace", "--dir", "both", "--from", TRACE_ROOT),
+           "stdout"),
 )
 
 #: The trace root of each set that has one, by set name.
@@ -53,16 +55,17 @@ class GoldenSet(NamedTuple):
     #: name them.
     inputs: list[str]
     #: The ID the set's traces start from; None when it has none.
-    root: str | None = None
+    root: str | None
 
     def goldens(self) -> tuple[Golden, ...]:
         """The rows of this set: each row that needs no root, and each
         that does if the set has one."""
-        return tuple(g for g in GOLDENS if self.root or ROOT not in g.args)
+        return tuple(g for g in GOLDENS
+                     if self.root or TRACE_ROOT not in g.args)
 
     def argv(self, golden: Golden) -> list[str]:
         """The CLI arguments of ``golden``'s command on this set."""
-        return [self.root if a == ROOT else a
+        return [self.root if a == TRACE_ROOT else a
                 for a in golden.args] + self.inputs
 
 
@@ -73,7 +76,7 @@ def golden_sets() -> dict[str, GoldenSet]:
     corpus = REPO_ROOT / "corpus" / "paper"
     sets = {"corpus": GoldenSet(corpus / "golden",
                                 relative(corpus.glob("*.psy")),
-                                TRACE_ROOTS.get("corpus"))}
+                                TRACE_ROOTS["corpus"])}
     for model in sorted((REPO_ROOT / "tests" / "golden").glob("*/model.psy")):
         name = model.parent.name
         sets[name] = GoldenSet(model.parent, relative([model]),

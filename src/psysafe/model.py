@@ -286,10 +286,6 @@ class Field(NamedTuple):
         """The accepted kinds as PSY011 messages spell them."""
         return " or ".join(k.value for k in self.kinds) or "entity"
 
-    def edge_to(self, kind: EntityKind | None) -> EdgeType | None:
-        edge = self.edge
-        return edge.get(kind) if isinstance(edge, dict) else edge
-
 
 class DeclSpec(NamedTuple):
     """What the model knows about one declaration type."""
