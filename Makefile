@@ -26,10 +26,10 @@ bench:
 
 N ?= 10
 
-# Runs workload $(W) in $(N) pairs of perfbench runs, revision $(REV) (from
-# git archive) against this checkout, alternating which goes first, and
-# prints each metric's medians and this checkout's wins: see
-# scripts/bench_ab.py.
+# Runs workload $(W) in $(N) pairs of perfbench runs, revision $(REV)
+# against this checkout's working tree, both written out by git archive,
+# alternating which goes first, and prints each metric's medians and this
+# checkout's wins: see scripts/bench_ab.py.
 bench-ab:
 	@test -n "$(REV)" || { echo "usage: make bench-ab REV=rev [W=workload] [N=10]" >&2; exit 2; }
 	python3 scripts/bench_ab.py $(REV) --workload $(W) --pairs $(N)

@@ -2,11 +2,15 @@
 
     python3 scripts/bench_ab.py REV --workload NAME [--pairs N]
 
-Run from the repository root. ``git archive`` writes revision REV into a
-temporary directory. Then ``perfbench/run.py`` runs N pairs of times, once
-in that copy and once in this checkout (its working tree, uncommitted
-changes included). Pair i runs on seed i mod 3 + 1, and the side that goes
-first alternates from pair to pair, so drift on the host falls on both.
+Run from the repository root. ``git archive`` writes revision REV and
+this checkout's working tree (uncommitted and untracked files included,
+ignored ones not) into two directories of one temporary directory, so
+both sides run from fresh copies of the same kind. The working tree is
+archived as a tree that ``git add -A`` writes into a copy of the index,
+which leaves the checkout and its index as they are. Then
+``perfbench/run.py`` runs N pairs of times, once in each copy. Pair i runs
+on seed i mod 3 + 1, and the side that goes first alternates from pair to
+pair, so drift on the host falls on both.
 Every run lasts 25 s, as in ``make bench``.
 Before every run each side's ``src/psysafe/__pycache__`` is deleted, so
 that both compile the same way. Every run must report ``correct``; the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -33,11 +38,30 @@ SECONDS = 25
 
 
 def archive(rev: str, dest: Path) -> Path:
-    """Write revision ``rev`` of this repository into ``dest``; return it."""
+    """Write revision (or tree) ``rev`` of this repository into ``dest``,
+    made if need be; return it."""
     data = subprocess.run(["git", "archive", rev], cwd=ROOT,
                           capture_output=True, check=True).stdout
+    dest.mkdir(parents=True, exist_ok=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=data, check=True)
     return dest
+
+
+def git(*argv: str, env: dict | None = None) -> str:
+    """The stdout of ``git argv`` in this repository, stripped."""
+    return subprocess.run(["git", *argv], cwd=ROOT, env=env, text=True,
+                          capture_output=True, check=True).stdout.strip()
+
+
+def working_tree() -> str:
+    """The ID of a tree of this checkout's working tree, as ``git add -A``
+    would stage it, written through a copy of the index."""
+    with tempfile.TemporaryDirectory(prefix="bench-ab-index-") as tmp:
+        index = Path(tmp) / "index"
+        shutil.copyfile(ROOT / git("rev-parse", "--git-path", "index"), index)
+        env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def run_bench(root: Path, workload: str, seed: int) -> dict:
@@ -70,11 +94,11 @@ def main() -> int:
     lower = {m["name"]: m["better"] == "lower"
              for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        base = archive(args.rev, Path(tmp))
+        sides = [("base", archive(args.rev, Path(tmp) / "base")),
+                 ("change", archive(working_tree(), Path(tmp) / "change"))]
         runs: dict[str, list] = {"base": [], "change": []}
         for i in range(args.pairs):
             seed = i % 3 + 1
-            sides = [("base", base), ("change", ROOT)]
             for side, root in sides if i % 2 == 0 else sides[::-1]:
                 runs[side].append(run_bench(root, args.workload, seed))
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(

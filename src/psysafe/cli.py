@@ -81,10 +81,9 @@ def _load_config(files: Sequence[str], explicit: str | None) -> LintConfig:
     if explicit is not None:
         path = Path(explicit)
     else:
-        candidate = Path(files[0]).parent / "psysafe.conf" if files else None
-        if candidate is None or not os.path.isfile(candidate):
+        path = Path(files[0]).parent / "psysafe.conf"
+        if not os.path.isfile(path):
             return LintConfig()
-        path = candidate
     config, diags = parse_config(read_file(path, "config file"), str(path))
     if any(d.severity is Severity.ERROR for d in diags):
         raise DiagnosticError(diags)

@@ -1,4 +1,5 @@
-"""The line reader: the fast path of :func:`psysafe.parser.read_source`.
+"""The line reader, which :func:`psysafe.loader.load_sources` takes for
+large inputs.
 
 It reads declarations on one line and entity blocks of one property a
 line by patterns compiled from :data:`psysafe.model.DECLS`, skips blank
@@ -6,8 +7,9 @@ lines and records the allows of comment lines. A file is cut into runs of
 lines, each from line 1 or from a line whose first word is a declaration
 keyword; each stretch of runs the patterns cannot read (the header, a
 broken or odd declaration) goes to the token reader alone, so every
-diagnostic is the token reader's. Only inputs above ``FAST_MIN_CHARS``
-import this module, so small ones never compile it.
+diagnostic is the token reader's. Only inputs above
+``loader.FAST_MIN_CHARS`` import this module, so small ones never
+compile it.
 """
 
 from __future__ import annotations

@@ -322,12 +322,6 @@ class DeclSpec(NamedTuple):
             return {"kind": EntityKind(keyword)}
         return {}
 
-    def keyword_of(self, item) -> str:
-        """The keyword that declares ``item``."""
-        if len(self.keywords) > 1:
-            return item.kind.value
-        return self.keywords[0]
-
 
 _K, _E, _F = EntityKind, EdgeType, Form
 NODE_KINDS = (_K.CONTROLLER, _K.PROCESS)

@@ -16,13 +16,6 @@ Only the header is read by hand.
 A single model may span several files: each file allows at most one
 ``analysis`` header (as its first construct), and merging enforces exactly
 one header across the concatenation.
-
-:func:`read_source` has two readers. The token reader is :func:`tokenize`
-then :func:`parse`. The line reader, :mod:`psysafe.linereader`, reads the
-usual layouts of large inputs by patterns, and leaves the token reader
-the runs of lines its patterns cannot read, each from a declaration
-keyword at the start of a line (or line 1) up to the next one it reads, so
-every diagnostic is the token reader's.
 """
 
 from __future__ import annotations
@@ -288,19 +281,10 @@ def parse(tokens: list[Token], file: str = "<input>",
     return model, p.diagnostics
 
 
-#: Inputs of more characters take the line reader: its patterns cost ≈9 ms
-#: to compile and save ≈0.13 ms per 1k characters, breaking even at 74k-77k
-#: on perfbench/gen.py models (median of 31 runs, Python 3.11.7, 2-vCPU VM).
-FAST_MIN_CHARS = 75_000
-
-def read_source(source: str, file: str = "<input>", fast: bool = False
+def read_source(source: str, file: str = "<input>"
                 ) -> tuple[RawModel, list[Diagnostic], dict]:
-    """One file's raw model, diagnostics and allows (line -> rule IDs).
-    ``fast`` takes the line reader, which leaves the token reader only the
-    runs of lines its patterns cannot read; the result is the same."""
-    if fast:
-        from .linereader import _read_lines  # compiled for large inputs only
-        return _read_lines(source, file)
+    """One file's raw model, diagnostics and allows (line -> rule IDs),
+    as the token reader gives them: :func:`tokenize` then :func:`parse`."""
     lex = tokenize(source, file)
     model, diagnostics = parse(lex.tokens, file)
     return model, lex.diagnostics + diagnostics, lex.allows

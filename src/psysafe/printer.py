@@ -69,7 +69,7 @@ def print_canonical(model: AnalysisModel) -> str:
         if items:
             out.append("")
         for item in items:
-            line = keyword or spec.keyword_of(item)
+            line = keyword or item.kind.value
             for before, get, fmt in steps:
                 value = item if get is None else get(item)
                 if value is not None:  # else an absent optional field

@@ -1,9 +1,9 @@
 """The line reader, ``psysafe.linereader``, against the token reader.
 
-``read_source(..., fast=True)`` must give exactly what ``tokenize`` then
-``parse`` give over the whole file: the raw model with every span, the
-diagnostics and the allows. The properties call it directly, so the
-cut-off that keeps small files on the token reader does not apply.
+``_read_lines`` must give exactly what the token reader, ``read_source``,
+gives over the whole file: the raw model with every span, the diagnostics
+and the allows. The properties call it directly, so the cut-off that keeps
+small files on the token reader does not apply.
 """
 
 import re
@@ -17,9 +17,9 @@ from psysafe import linereader
 from psysafe.diagnostics import DiagnosticError
 from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.linereader import _line_readers, _read_lines
-from psysafe.loader import load_model, load_sources
+from psysafe.loader import FAST_MIN_CHARS, load_model, load_sources
 from psysafe.model import DECLS, Entity, Form, spelling
-from psysafe.parser import _PLANS, FAST_MIN_CHARS, parse, read_source
+from psysafe.parser import _PLANS, read_source
 from psysafe.printer import print_canonical
 
 from tests.conftest import FUZZ, REPO_ROOT
@@ -29,14 +29,8 @@ sys.path.append(str(REPO_ROOT / "perfbench"))
 import gen  # noqa: E402  (perfbench/gen.py, the benchmark's generator)
 
 
-def token_reader(text: str, file: str):
-    lex = tokenize(text, file)
-    model, diagnostics = parse(lex.tokens, file)
-    return model, lex.diagnostics + diagnostics, lex.allows
-
-
 def assert_same(text: str, file: str = "t.psy") -> None:
-    assert read_source(text, file, fast=True) == token_reader(text, file)
+    assert _read_lines(text, file) == read_source(text, file)
 
 
 #: What may stand between two tokens of one declaration: mostly a space,
@@ -355,7 +349,7 @@ def test_one_line_declarations_skip_the_token_reader(corpus_files,
         "level 2 {", "level 2 {  # psysafe-allow PSY005").replace(
         "\n}\n", "\n}  # psysafe-allow PSY006\n", 1)
     text = text.rstrip() + "  # psysafe-allow PSY007"
-    model, _, allows = token_reader(text, "t.psy")
+    model, _, allows = read_source(text, "t.psy")
     assert len(allows) == 4
     assert sum(isinstance(decl, Entity) for decl, _ in model.decls) > 4
     monkeypatch.setattr(linereader, "tokenize", None)  # calling it fails
@@ -367,7 +361,7 @@ def test_benchmark_inputs_reach_the_token_reader_only_for_the_header(
     calls = spy_tokenize(monkeypatch)
     model = gen.generate(1, 6, "x", n_files=3)
     for path, text in model.files:
-        read_source(text, path, fast=True)
+        _read_lines(text, path)
     path, text = model.files[0]
     lines = text.split("\n")
     first = next(number for number, line in enumerate(lines)

@@ -107,7 +107,10 @@ def test_parse_config_unknown_rule_is_an_error():
      ("PSY000", "unknown lint rule 'bogus'", 1, 8)),
     ("lint { PSY007 = off PSY099 = off PSY005 = error }",
      ("PSY000", "unknown lint rule 'PSY099'", 1, 21)),
-], ids=["missing-equals", "missing-severity", "bogus-key", "unknown-rule"])
+    ("lint { PSY001 = off",
+     ("PSY000", "expected '}' to close the lint block", 1, 1)),
+], ids=["missing-equals", "missing-severity", "bogus-key", "unknown-rule",
+        "unclosed-block"])
 def test_a_broken_setting_is_one_finding(source, finding):
     """Reading resumes at the next rule ID or ``}``, so the rest of a
     broken setting is not reported again."""

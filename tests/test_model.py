@@ -24,6 +24,14 @@ def test_empty_model_resolves_to_empty_collections():
     assert model.structure.entities == ()
 
 
+def test_a_model_without_a_header_does_not_resolve():
+    with pytest.raises(ResolveError) as exc:
+        resolve_text('stakeholder SH1 "a"')
+    assert [(d.rule, d.message, tuple(d.span))
+            for d in exc.value.diagnostics] == [
+        ("PSY000", "model has no analysis header", ("<input>", 1, 1))]
+
+
 def test_corpus_resolves_with_expected_sizes(corpus_model):
     assert len(corpus_model.losses) == 3
     assert len(corpus_model.hazards) == 5

@@ -2,6 +2,7 @@ import pytest
 
 from psysafe.diagnostics import SourceSpan
 from psysafe.lexer import KEYWORDS, tokenize
+from psysafe.linereader import _read_lines
 from psysafe.model import (DECLS, EntityKind, Form, Hazard, Loss,
                            Stakeholder, Uca,
                            UcaKind, spelling)
@@ -524,5 +525,4 @@ def test_declaration_split_across_lines(text):
         [(decl, span)] = model.decls
         assert decl == one_line.decls[0][0]
     assert span == SourceSpan("t.psy", 1, 1)
-    assert read_source(text, "t.psy", fast=True) == \
-        read_source(text, "t.psy")
+    assert _read_lines(text, "t.psy") == read_source(text, "t.psy")
