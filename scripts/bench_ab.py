@@ -94,8 +94,11 @@ def main() -> int:
     lower = {m["name"]: m["better"] == "lower"
              for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        # Paths of one length: perfbench puts its root into each child's
+        # PYTHONPATH, and with environments of different sizes A/A rounds
+        # on synth-16k read the same code 2-3% apart.
         sides = [("base", archive(args.rev, Path(tmp) / "base")),
-                 ("change", archive(working_tree(), Path(tmp) / "change"))]
+                 ("change", archive(working_tree(), Path(tmp) / "work"))]
         runs: dict[str, list] = {"base": [], "change": []}
         for i in range(args.pairs):
             seed = i % 3 + 1
