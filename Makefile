@@ -76,11 +76,14 @@ importtime:
 	    sub(/^ +/, "", $$3); printf "%8d us  %s\n", $$1, $$3 }' \
 	  | sort -k1,1nr | head -n 15
 
-# Runs one CLI command, CMD, under python -m cProfile -s tottime and prints
-# the 15 functions with the largest self time, under the profile's column
-# header. The command's own output is discarded.
+# Profiles one CLI command, CMD, in process: cli.run under cProfile, since
+# cli.main ends the process before cProfile could write. Prints the 15
+# functions with the largest self time, under the profile's column header.
+# The command's own output is discarded.
 profile:
-	@PYTHONPATH=src python3 -m cProfile -s tottime -m psysafe $(CMD) 2>/dev/null \
+	@PYTHONPATH=src python3 -c 'import cProfile, sys; \
+	  from psysafe.cli import run; \
+	  cProfile.run("run(sys.argv[1:])", sort="tottime")' $(CMD) 2>/dev/null \
 	  | awk '/^ +ncalls +tottime/ { shown = 1 } shown' | head -n 16
 
 loc:

@@ -16,6 +16,11 @@ usage error.
 Diagnostics go to stderr in ``file:line:col: severity[PSYnnn]: message``
 form; stdout carries only the requested artifact (level, report, tree, or
 canonical form). Setting ``NO_COLOR`` disables ANSI coloring.
+
+:func:`main` ends the process with :func:`os._exit` once its output is
+flushed, so nothing the command built is freed and the interpreter is not
+finalized: atexit handlers do not run. A program that embeds psysafe calls
+:func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import gc
 import io
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -107,6 +113,7 @@ def cmd_check(args) -> int:
     config = _load_config(args.files, args.config)
     model, allows = load_model(args.files)
     diags = analyze(model, config._replace(allows=allows))
+    args.built = model, diags
     _print_diagnostics(diags)
     if args.coverage:
         print(_format_coverage(model), end="")
@@ -138,6 +145,7 @@ def cmd_report(args) -> int:
     report = build_report(model, config._replace(allows=allows))
     text = emit_json(report) if args.format == "json" \
         else emit_markdown(report)
+    args.built = model, report
     _print_diagnostics(report.diagnostics)
     if args.out:
         try:
@@ -155,6 +163,7 @@ def cmd_trace(args) -> int:
     from .loader import load_model
     from .tracegraph import format_trace_tree
     model, _ = load_model(args.files)
+    args.built = model
     try:
         tree = format_trace_tree(model, args.from_id, args.dir)
     except KeyError:
@@ -169,6 +178,7 @@ def cmd_fmt(args) -> int:
     from .loader import load_model
     from .printer import print_canonical
     model, _ = load_model(args.files)
+    args.built = model
     print(print_canonical(model), end="")
     return EX_OK
 
@@ -255,10 +265,56 @@ def _cannot_write(prog: str, exc: OSError | UnicodeEncodeError) -> int:
         _silence(sys.stdout)
     try:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        print(f"{prog}: cannot write output: {reason}", file=sys.stderr)
+        print(f"{prog}: cannot write output: {reason}", file=sys.stderr,
+              flush=True)
     except OSError:
         _silence(sys.stderr)
     return EX_DATA
+
+
+#: A run keeps its records and makes little cyclic garbage: collect rarely.
+_THRESHOLD = (100_000, 50, 1000)
+
+
+@contextmanager
+def _collect_rarely():
+    """Collect at :data:`_THRESHOLD` while a run runs, and restore the
+    caller's threshold after it."""
+    threshold = gc.get_threshold()
+    gc.set_threshold(*_THRESHOLD)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*threshold)
+
+
+@_collect_rarely()
+def _run(argv: Sequence[str]) -> tuple[int, object]:
+    """:func:`run`, also returning what the command built: the parsed
+    arguments, on which each command leaves its model and results as
+    ``built``, or the :class:`DiagnosticError` it raised, whose traceback
+    holds the frames that built its input."""
+    parser = build_arg_parser()
+    prog = parser.prog
+    held = None
+    try:
+        try:
+            held = args = parser.parse_args(list(argv))
+            prog = f"{parser.prog} {args.command}"
+            code = args.func(args)
+        except SystemExit as exc:  # --help, --version or a usage error
+            code = exc.code if isinstance(exc.code, int) else EX_USAGE
+        except DiagnosticError as err:
+            held = err
+            _print_diagnostics(err.diagnostics)
+            code = EX_DATA
+        # Flush here, so that a failed write is reported, not lost at exit.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        return code, held
+    # Commands catch read errors, so an output failed.
+    except (OSError, UnicodeEncodeError) as exc:
+        return _cannot_write(prog, exc), held
 
 
 def run(argv: Sequence[str]) -> int:
@@ -267,40 +323,28 @@ def run(argv: Sequence[str]) -> int:
     A command whose input cannot be read, parsed or resolved raises
     :class:`DiagnosticError`; its findings are printed here, exit 2. So
     does a run whose stdout or stderr cannot be written, --help and
-    --version included.
+    --version included. The collector runs rarely during the call, as
+    :func:`main` has it; the threshold is restored on return.
     """
-    parser = build_arg_parser()
-    prog = parser.prog
-    try:
-        try:
-            args = parser.parse_args(list(argv))
-            prog = f"{parser.prog} {args.command}"
-            code = args.func(args)
-        except SystemExit as exc:  # --help, --version or a usage error
-            code = exc.code if isinstance(exc.code, int) else EX_USAGE
-        except DiagnosticError as err:
-            _print_diagnostics(err.diagnostics)
-            code = EX_DATA
-        # Flush here, so that a failed write is reported, not lost at exit.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        return code
-    # Commands catch read errors, so an output failed.
-    except (OSError, UnicodeEncodeError) as exc:
-        return _cannot_write(prog, exc)
+    return _run(argv)[0]
 
 
 def main() -> None:
-    # A run keeps its records and makes little cyclic garbage, so collect
-    # rarely, past start-up's objects; callers of run() keep the default.
+    # Start-up's objects live as long as the process, so the collector
+    # skips them. The threshold is _run's own, so restoring it on return
+    # does not set off a collection of the run's objects before the exit.
     gc.freeze()
-    gc.set_threshold(100_000, 50, 1000)
+    gc.set_threshold(*_THRESHOLD)
     # UTF-8 whatever the locale; a stream closed at start-up (None) fails.
     if sys.stdout is not None:
         sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     sys.stdout = sys.stdout or _Closed()
     sys.stderr = sys.stderr or _Closed()
-    sys.exit(run(sys.argv[1:]))
+    code, held = _run(sys.argv[1:])
+    # The output is flushed. End here, while ``held`` still references
+    # what the command built: neither its deallocation nor the
+    # interpreter's finalization runs, and atexit handlers do not.
+    os._exit(code)
 
 
 if __name__ == "__main__":

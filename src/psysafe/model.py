@@ -475,7 +475,9 @@ class AnalysisModel(_AnalysisModelFields):
 
     @property
     def entity_ids(self) -> Iterable[str]:
-        return self._kinds.keys()
+        """Every declared ID, declaration type by type in ``DECLS`` order."""
+        return tuple(item.id for spec in DECLS.values() if spec.declares_id
+                     for item in spec.items(self))
 
 
 #: Declaration type -> (getter, holds a list, kinds it may name, field)
@@ -565,4 +567,7 @@ def resolve(model: RawModel) -> AnalysisModel:
                                )._replace(**{attr: value})
             attr = owner
         fields[attr] = value
-    return AnalysisModel(**fields)
+    resolved = AnalysisModel(**fields)
+    # Pass 1's map is the one _kinds would build: hand it over.
+    resolved.__dict__["_kinds"] = kinds
+    return resolved

@@ -294,17 +294,125 @@ def test_check_and_report_analyze_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_run_leaves_the_collector_as_it_found_it(capsys):
-    # Only the process entry point, cli.main, sets a collector policy.
+def test_run_leaves_the_collector_as_it_found_it(monkeypatch, capsys):
+    # run() collects as rarely as cli.main while a command runs, and gives
+    # the caller back its threshold, also when the command raises; only
+    # cli.main, the process entry point, freezes.
     import gc
-    from psysafe import cli
-    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    from psysafe import cli, loader
+
+    def collector():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+    state = collector()
     files = [str(REPO_ROOT / p) for p in CORPUS_ARGS]
-    for argv in (["check", *files], ["fmt", *files], ["--version"]):
-        assert cli.run(argv) == 0
-        assert (gc.isenabled(), gc.get_threshold(),
-                gc.get_freeze_count()) == state, argv
+    thresholds = []
+    load_model = loader.load_model
+    monkeypatch.setattr(loader, "load_model", lambda paths: thresholds.append(
+        gc.get_threshold()) or load_model(paths))
+    for argv, code in ((["check", *files], 0), (["fmt", *files], 0),
+                       (["--version"], 0), (["check", "no/such.psy"], 2)):
+        assert cli.run(argv) == code
+        assert collector() == state, argv
+    assert thresholds == [(100_000, 50, 1000)] * 3
+
+    def fail(paths):
+        raise RuntimeError("load failed")
+
+    monkeypatch.setattr(loader, "load_model", fail)
+    with pytest.raises(RuntimeError, match="load failed"):
+        cli.run(["fmt", *files])
+    assert collector() == state
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["--frobnicate"], 64),
+    (["psysil", "S2", "E4", "C1"], 0),
+    (["psysil", "S9", "E1", "C1"], 64),
+    (["check", "--coverage", *CORPUS_ARGS], 0),
+    (["check", "--strict", *CORPUS_ARGS], 1),
+    (["check", "no/such/file.psy"], 2),
+    (["report", "--format", "json", *CORPUS_ARGS], 0),
+    (["report", "--format", "md", *CORPUS_ARGS], 0),
+    (["trace", *CORPUS_ARGS, "--from", "H3"], 0),
+    (["trace", *CORPUS_ARGS, "--from", "NOPE"], 2),
+    (["fmt", *CORPUS_ARGS], 0),
+    (["fmt", "no/such/file.psy"], 2),
+], ids=lambda value: " ".join(arg for arg in value if not arg.endswith(
+    ".psy")) if isinstance(value, list) else None)
+def test_run_returns_the_exit_code(monkeypatch, capsys, argv, code):
+    # Only main() ends the process; run(), whose callers go on, returns.
+    from psysafe.cli import run
+    monkeypatch.chdir(REPO_ROOT)
+    assert run(argv) == code
+    capsys.readouterr()
+
+
+#: Registers an atexit handler, then calls cli.main() or run().
+ENTRY = """\
+import atexit, sys
+atexit.register(print, "atexit handler ran")
+from psysafe.cli import main, run
+{}
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["psysil", "S1", "E1", "C1"], 0),
+    (["check", "--strict", *CORPUS_ARGS], 1),
+    (["check", "no/such/file.psy"], 2),
+    (["psysil", "S9", "E1", "C1"], 64),
+], ids=["0", "1", "2", "64"])
+def test_main_ends_the_process_with_its_exit_code(argv, code):
+    # main() ends the process once its output is flushed: the interpreter
+    # is not finalized, so an embedding program's atexit handlers do not
+    # run. A program that calls run() exits as usual.
+    stdout = {}
+    for call in ("main()", "sys.exit(run(sys.argv[1:]))"):
+        proc = subprocess.run([sys.executable, "-c", ENTRY.format(call),
+                               *argv], capture_output=True, text=True,
+                              cwd=REPO_ROOT, env=_env(unbuffered=False))
+        assert proc.returncode == code, (call, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        stdout[call] = proc.stdout
+    assert stdout["main()"] + "atexit handler ran\n" == stdout[
+        "sys.exit(run(sys.argv[1:]))"]
+
+
+#: A model whose canonical form and JSON report are bigger than a pipe
+#: buffers (64 KiB on Linux).
+BIG_MODEL = ('analysis "big" { sae_level = 3 }\nstakeholder SH "Rider"\n'
+             'stake ST "Feeling safe" of SH\nloss L "Stress" violates ST\n'
+             + "".join(f'hazard H{i} "Hazard {i}" leads_to L\n'
+                       for i in range(2000)))
+
+
+@pytest.mark.parametrize("argv", [["fmt"], ["report", "--format", "json"]],
+                         ids=" ".join)
+def test_big_output_reaches_a_pipe_and_a_file_whole(monkeypatch, capsys,
+                                                    tmp_path, argv):
+    from psysafe.cli import run
+    model = tmp_path / "big.psy"
+    model.write_text(BIG_MODEL, encoding="utf-8")
+    argv = [*argv, str(model)]
+    monkeypatch.chdir(REPO_ROOT)
+    code = run(argv)
+    out, err = (text.encode("utf-8") for text in capsys.readouterr())
+    assert len(out) > 1 << 16
+    command = [sys.executable, "-m", "psysafe", *argv]
+    env = _env(unbuffered=False)
+    piped = subprocess.run(command, capture_output=True, cwd=REPO_ROOT,
+                           env=env)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (code, out, err)
+    path = tmp_path / "out"
+    with open(path, "wb") as file:
+        filed = subprocess.run(command, stdout=file, stderr=subprocess.PIPE,
+                               cwd=REPO_ROOT, env=env)
+    assert (filed.returncode, path.read_bytes(), filed.stderr) == \
+        (code, out, err)
 
 
 def test_report_relativizes_each_file_once(monkeypatch, capsys):

@@ -1,6 +1,9 @@
 """Cross-cutting invariants checked over generated models."""
 
+from psysafe.lexer import tokenize
 from psysafe.lints import LintConfig, run_lints
+from psysafe.model import AnalysisModel, resolve
+from psysafe.parser import parse
 from psysafe.printer import print_canonical
 from psysafe.report import build_report, emit_json
 from psysafe.structure import validate_structure
@@ -24,6 +27,21 @@ def test_generated_models_satisfy_model_invariants():
         for resp in model.responsibilities:
             assert resp.derived_from and resp.derived_from <= known
         assert 2 <= model.sae_level <= 5
+
+
+def test_resolve_hands_the_model_its_kind_map():
+    # resolve fills the cached _kinds from pass 1's map, built in
+    # declaration order; entity_ids keeps the DECLS table order whatever
+    # order the declarations came in.
+    build = AnalysisModel._kinds.func
+    for seed in range(50):
+        model = random_model(seed)
+        raw, _ = parse(tokenize(print_canonical(model), "m.psy").tokens,
+                       "m.psy")
+        for decls in (raw.decls, raw.decls[::-1]):
+            resolved = resolve(raw._replace(decls=decls))
+            assert resolved.__dict__["_kinds"] == build(resolved), seed
+            assert list(resolved.entity_ids) == list(build(model)), seed
 
 
 def test_lints_and_reports_are_pure_functions_of_the_model():
