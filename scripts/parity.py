@@ -32,6 +32,7 @@ from bench_ab import ROOT, archive
 
 sys.path.append(str(ROOT / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py, for its workloads' ops)
+from regen_goldens import child_env  # noqa: E402
 
 
 def outcome(root: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -39,8 +40,7 @@ def outcome(root: Path, argv: list[str]) -> tuple[int, str, str]:
     from this checkout's root on the sources of ``root``."""
     proc = subprocess.run(
         [sys.executable, "-m", "psysafe", *argv], cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(root / "src"), "NO_COLOR": "1"},
-        capture_output=True)
+        env=child_env(root / "src"), capture_output=True)
     return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
             hashlib.sha256(proc.stderr).hexdigest())
 

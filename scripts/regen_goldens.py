@@ -23,6 +23,20 @@ from typing import NamedTuple
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def child_env(src: Path = REPO_ROOT / "src", **settings: str
+              ) -> dict[str, str]:
+    """The environment of every harness run of ``python -m psysafe``, so
+    that it runs as a user runs it: the caller's environment without the
+    settings that change how the CLI encodes or buffers its output, with
+    colour off, ``PYTHONPATH`` the absolute ``src`` (so that a child run
+    from another directory imports these sources), and ``settings`` last.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "PYTHONUNBUFFERED", "PYTHONIOENCODING", "PYTHONUTF8")}
+    return {**env, "NO_COLOR": "1", "PYTHONPATH": str(Path(src).absolute()),
+            **settings}
+
+
 class Golden(NamedTuple):
     name: str
     #: The CLI arguments before the inputs.
@@ -89,10 +103,9 @@ def outputs(golden_set: GoldenSet
     """Run each of the set's rows through ``python -m psysafe``, so
     through ``cli.main()``, with this checkout's sources; stdout and
     stderr are bytes."""
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     return {g: subprocess.run([sys.executable, "-m", "psysafe",
                                *golden_set.argv(g)], capture_output=True,
-                              cwd=REPO_ROOT, env=env)
+                              cwd=REPO_ROOT, env=child_env())
             for g in golden_set.goldens()}
 
 

@@ -8,8 +8,6 @@ Run with ``pytest tests/test_acceptance.py -v``.
 import itertools
 import json
 import re
-import subprocess
-import sys
 import time
 
 from psysafe.model import (ControllabilityClass, ExposureClass, PsySilLevel,
@@ -18,13 +16,10 @@ from psysafe.psysil import determine_psysil, psysil_table
 from psysafe.structure import validate_structure
 from psysafe.report import build_report, emit_json
 
-from tests.conftest import REPO_ROOT
 from tests.modelgen import random_model
 from tests.mutations import MUTATION_RULES, mutant_diagnostics
+from tests.test_cli import CORPUS_ARGS, psysafe
 from tests.test_printer import round_trip
-
-CORPUS_ARGS = [str(p.relative_to(REPO_ROOT))
-               for p in sorted((REPO_ROOT / "corpus" / "paper").glob("*.psy"))]
 
 # The 18 rated cells as printed in the rating table, transcribed
 # independently of src/psysafe/psysil.py.
@@ -49,11 +44,6 @@ ALL_INPUTS = list(itertools.product(SeverityClass, ExposureClass,
 
 def _passed(n, text):
     print(f"criterion {n} ({text}): PASS")
-
-
-def _psysafe(*args):
-    return subprocess.run([sys.executable, "-m", "psysafe", *args],
-                          capture_output=True, text=True, cwd=REPO_ROOT)
 
 
 def test_criterion_1_psysil_table_fidelity():
@@ -94,7 +84,7 @@ def test_criterion_2_monotonicity():
 
 def test_criterion_3_worked_example_reproduction():
     start = time.perf_counter()
-    proc = _psysafe("psysil", "S2", "E4", "C1")
+    proc = psysafe("psysil", "S2", "E4", "C1")
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0
     assert proc.stdout == "PsySIL A\n"
@@ -104,7 +94,7 @@ def test_criterion_3_worked_example_reproduction():
 
 def test_criterion_4_corpus_check():
     start = time.perf_counter()
-    proc = _psysafe("check", *CORPUS_ARGS)
+    proc = psysafe("check", *CORPUS_ARGS)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
@@ -118,7 +108,7 @@ def test_criterion_4_corpus_check():
     assert sorted(found) == [("PSY005", "H4"), ("PSY006", "UCA1"),
                              ("PSY007", "H1"), ("PSY007", "H3"),
                              ("PSY007", "H4"), ("PSY007", "H5")]
-    strict = _psysafe("check", "--strict", *CORPUS_ARGS)
+    strict = psysafe("check", "--strict", *CORPUS_ARGS)
     assert strict.returncode == 1
     assert elapsed < 1.0
     _passed(4, "corpus check: exactly six warnings, exit 0; strict exit 1")

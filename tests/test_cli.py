@@ -1,24 +1,55 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 
 from tests.conftest import REPO_ROOT
 
 sys.path.append(str(REPO_ROOT / "scripts"))
-from regen_goldens import GOLDENS, golden_sets, outputs  # noqa: E402
+from regen_goldens import (GOLDENS, child_env, golden_sets,  # noqa: E402
+                           outputs)
 
 GOLDEN_SETS = golden_sets()
 CORPUS_ARGS = GOLDEN_SETS["corpus"].inputs
 
 
-def psysafe(*args, cwd=REPO_ROOT):
-    return subprocess.run([sys.executable, "-m", "psysafe", *args],
-                          capture_output=True, text=True, cwd=cwd)
+#: The setting of a case that wants Python's stdout unbuffered, so that a
+#: failed write surfaces in the write itself, not at the final flush.
+UNBUFFERED = {"PYTHONUNBUFFERED": "1"}
+
+
+def psysafe(*args, env=None, **kwargs):
+    """Run ``python -m psysafe args`` from the repository root in
+    ``child_env()`` with the settings ``env`` added, capturing stdout and
+    stderr as text; ``kwargs`` go to ``subprocess.run`` and win."""
+    return subprocess.run(
+        [sys.executable, "-m", "psysafe", *args], env=child_env(**env or {}),
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+           "text": True, "cwd": REPO_ROOT, **kwargs})
+
+
+def test_child_env_runs_the_cli_as_a_user_does(monkeypatch):
+    output_settings = ("PYTHONUNBUFFERED", "PYTHONIOENCODING", "PYTHONUTF8")
+    for name in output_settings:
+        monkeypatch.setenv(name, "1")
+    monkeypatch.setenv("PYTHONHASHSEED", "7")
+    env = child_env()
+    assert not set(output_settings) & set(env)
+    assert env["PYTHONHASHSEED"] == "7"
+    assert env["NO_COLOR"] == "1"
+    assert env["PYTHONPATH"] == str(REPO_ROOT / "src")
+    monkeypatch.chdir(REPO_ROOT)
+    env = child_env(Path("src"), NO_COLOR="", PYTHONUNBUFFERED="1",
+                    PYTHONHASHSEED="0")
+    assert env["PYTHONPATH"] == str(REPO_ROOT / "src")
+    assert (env["NO_COLOR"], env["PYTHONUNBUFFERED"],
+            env["PYTHONHASHSEED"]) == ("", "1", "0")
 
 
 def test_psysil_prints_level():
@@ -62,6 +93,31 @@ def test_check_corpus_warnings_and_exit_codes():
 
     strict = psysafe("check", "--strict", *CORPUS_ARGS)
     assert strict.returncode == 1
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("no_color", [None, "1", ""],
+                         ids=["unset", "set", "empty"])
+def test_diagnostics_on_a_terminal_are_coloured_unless_no_color(
+        monkeypatch, no_color):
+    from psysafe.cli import run
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    monkeypatch.setattr(sys, "stderr", _Terminal())
+    monkeypatch.chdir(REPO_ROOT)
+    assert run(["check", *CORPUS_ARGS]) == 0
+    plain = (GOLDEN_SETS["corpus"].golden / "diagnostics.txt").read_text(
+        encoding="utf-8")
+    coloured, count = re.subn(r"warning\[PSY00\d\]", "\x1b[33m\\g<0>\x1b[0m",
+                              plain)
+    assert count == 6
+    assert sys.stderr.getvalue() == (plain if no_color else coloured)
 
 
 def test_check_unreadable_file_exits_2():
@@ -135,11 +191,8 @@ def test_resolution_errors_print_in_a_fixed_order(tmp_path):
         "stake, but 'SH1' is a stakeholder",
     ]
     for seed in ("0", "1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "psysafe", "check", "bad.psy"],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONHASHSEED": seed,
-                 "PYTHONPATH": str(REPO_ROOT / "src")})
+        proc = psysafe("check", "bad.psy", cwd=tmp_path,
+                       env={"PYTHONHASHSEED": seed})
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == expected
 
@@ -264,11 +317,9 @@ def test_report_escapes_a_file_name_that_is_not_utf8(tmp_path):
     files = sorted(os.listdir(tmp_path))
     runs = {}
     for fmt, out in (("json", []), ("md", ["--out", "r.md"])):
-        runs[fmt] = proc = subprocess.run(
-            [sys.executable, "-m", "psysafe", "report", "--format", fmt,
-             *out, *files], capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict",
-                 "PYTHONPATH": str(REPO_ROOT / "src")})
+        runs[fmt] = proc = psysafe(
+            "report", "--format", fmt, *out, *files, cwd=tmp_path,
+            env={"PYTHONIOENCODING": "utf-8:strict"})
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
     diagnostics = json.loads(runs["json"].stdout)["diagnostics"]
@@ -374,7 +425,7 @@ def test_main_ends_the_process_with_its_exit_code(argv, code):
     for call in ("main()", "sys.exit(run(sys.argv[1:]))"):
         proc = subprocess.run([sys.executable, "-c", ENTRY.format(call),
                                *argv], capture_output=True, text=True,
-                              cwd=REPO_ROOT, env=_env(unbuffered=False))
+                              cwd=REPO_ROOT, env=child_env())
         assert proc.returncode == code, (call, proc.stderr)
         assert "Traceback" not in proc.stderr
         stdout[call] = proc.stdout
@@ -402,15 +453,11 @@ def test_big_output_reaches_a_pipe_and_a_file_whole(monkeypatch, capsys,
     code = run(argv)
     out, err = (text.encode("utf-8") for text in capsys.readouterr())
     assert len(out) > 1 << 16
-    command = [sys.executable, "-m", "psysafe", *argv]
-    env = _env(unbuffered=False)
-    piped = subprocess.run(command, capture_output=True, cwd=REPO_ROOT,
-                           env=env)
+    piped = psysafe(*argv, text=False)
     assert (piped.returncode, piped.stdout, piped.stderr) == (code, out, err)
     path = tmp_path / "out"
     with open(path, "wb") as file:
-        filed = subprocess.run(command, stdout=file, stderr=subprocess.PIPE,
-                               cwd=REPO_ROOT, env=env)
+        filed = psysafe(*argv, stdout=file, text=False)
     assert (filed.returncode, path.read_bytes(), filed.stderr) == \
         (code, out, err)
 
@@ -489,7 +536,6 @@ def test_fmt_round_trips():
 
 def psysafe_stdin_fmt(text):
     import tempfile
-    from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "canon.psy"
         path.write_text(text, encoding="utf-8")
@@ -517,14 +563,6 @@ def _assert_cannot_write(proc, command, stderr):
     assert "Exception ignored" not in stderr
 
 
-def _env(unbuffered):
-    """This environment with Python's stdout buffered (the default) or
-    unbuffered, so that a failed write surfaces at the final flush or in
-    the write itself."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
-
-
 #: One run of each command that writes to stdout.
 WRITING_ARGVS = [
     ["--version"],
@@ -539,28 +577,23 @@ WRITING_ARGVS = [
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a /dev/full device")
-@pytest.mark.parametrize("unbuffered", [False, True],
+@pytest.mark.parametrize("env", [None, UNBUFFERED],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", WRITING_ARGVS, ids=lambda argv: argv[0])
-def test_output_to_a_full_device_exits_2(argv, unbuffered):
+def test_output_to_a_full_device_exits_2(argv, env):
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "psysafe", *argv],
-                              stdout=full, stderr=subprocess.PIPE,
-                              text=True, cwd=REPO_ROOT, env=_env(unbuffered))
+        proc = psysafe(*argv, stdout=full, env=env)
     _assert_cannot_write(proc, argv[0], proc.stderr)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a /dev/full device")
-@pytest.mark.parametrize("unbuffered", [False, True],
+@pytest.mark.parametrize("env", [None, UNBUFFERED],
                          ids=["buffered", "unbuffered"])
-def test_diagnostics_to_a_full_device_exit_2(unbuffered):
+def test_diagnostics_to_a_full_device_exit_2(env):
     # The corpus has six warnings, so exit 0 would be due.
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "psysafe", "check",
-                               *CORPUS_ARGS],
-                              stdout=subprocess.PIPE, stderr=full,
-                              text=True, cwd=REPO_ROOT, env=_env(unbuffered))
+        proc = psysafe("check", *CORPUS_ARGS, stderr=full, env=env)
     assert proc.returncode == 2
     assert proc.stdout == ""
 
@@ -575,7 +608,7 @@ def test_output_to_a_closed_pipe_exits_2(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "psysafe", "fmt",
                              str(model)], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, cwd=REPO_ROOT,
-                            env=_env(unbuffered=False))
+                            env=child_env())
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     proc.stderr.close()
@@ -586,9 +619,7 @@ def test_output_to_a_closed_pipe_exits_2(tmp_path):
 def _run_with_closed(fd, argv):
     """Run psysafe with descriptor ``fd`` (1 or 2) closed before start-up;
     the other of stdout and stderr is captured."""
-    return subprocess.run([sys.executable, "-m", "psysafe", *argv],
-                          capture_output=True, text=True, cwd=REPO_ROOT,
-                          preexec_fn=lambda: os.close(fd))
+    return psysafe(*argv, preexec_fn=lambda: os.close(fd))
 
 
 @pytest.mark.parametrize("argv", WRITING_ARGVS, ids=lambda argv: argv[0])
@@ -640,10 +671,8 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
     model.write_text(NON_ASCII_MODEL, encoding="utf-8")
     outputs = []
     for encoding in ("ascii", "utf-8"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "psysafe", *argv, str(model)],
-            capture_output=True, cwd=REPO_ROOT,
-            env={**os.environ, "PYTHONIOENCODING": encoding})
+        proc = psysafe(*argv, str(model), text=False,
+                       env={"PYTHONIOENCODING": encoding})
         assert proc.returncode == 0, proc.stderr
         assert b"Traceback" not in proc.stderr
         assert b"Exception ignored" not in proc.stderr

@@ -7,7 +7,6 @@ every module already.
 """
 
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -16,6 +15,9 @@ import pytest
 
 import psysafe
 from tests.conftest import REPO_ROOT
+
+sys.path.append(str(REPO_ROOT / "scripts"))
+from regen_goldens import child_env  # noqa: E402
 
 LOADER_CHAIN = {"psysafe", "psysafe.cli", "psysafe.diagnostics",
                 "psysafe.lexer", "psysafe.parser", "psysafe.loader",
@@ -68,8 +70,7 @@ def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
     source = PROBE.format(argv=argv or None)
     proc = subprocess.run(
         [sys.executable, "-c", source], capture_output=True, text=True,
-        cwd=REPO_ROOT, env={**os.environ,
-                            "PYTHONPATH": str(REPO_ROOT / "src")})
+        cwd=REPO_ROOT, env=child_env())
     assert proc.returncode == 0, proc.stderr
     *loaded, json_flag, dataclasses_flag, inspect_flag = \
         proc.stdout.splitlines()[-1].split()

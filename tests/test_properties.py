@@ -1,5 +1,9 @@
 """Cross-cutting invariants checked over generated models."""
 
+import json
+import random
+
+from psysafe.cli import run
 from psysafe.lexer import tokenize
 from psysafe.lints import LintConfig, run_lints
 from psysafe.model import AnalysisModel, resolve
@@ -70,3 +74,47 @@ def test_printer_output_is_stable():
     for seed in range(25):
         model = random_model(seed)
         assert print_canonical(model) == print_canonical(model)
+
+
+def _cli_outputs(files, ids, capsys):
+    """What the CLI prints on ``files`` that does not name a position:
+    the exit code and stdout of fmt, check --coverage and trace --dir both
+    from each of ``ids``; the JSON report, its diagnostics as a multiset;
+    the Markdown report up to its diagnostics."""
+    def stdout(*argv):
+        return run([*argv, *files]), capsys.readouterr().out
+    code, text = stdout("report", "--format", "json")
+    report = json.loads(text)
+    report["diagnostics"] = sorted(
+        (d["severity"], d["rule"], d["message"], d["related"])
+        for d in report["diagnostics"])
+    code_md, md = stdout("report", "--format", "md")
+    return (stdout("fmt"), stdout("check", "--coverage"),
+            [stdout("trace", "--dir", "both", "--from", i) for i in ids],
+            code, report, code_md, md.partition("## Diagnostics")[0])
+
+
+def test_declaration_order_and_file_split_never_change_the_outputs(
+        tmp_path, monkeypatch, capsys):
+    # The canonical text in one file against its declarations shuffled,
+    # the header kept first, and split over one to three files.
+    monkeypatch.chdir(tmp_path)
+    for seed in range(60):
+        model = random_model(seed)
+        rng = random.Random(seed)
+        text = print_canonical(model)
+        header, _, body = text.partition("\n}\n")
+        decls = [line + "\n" for line in body.splitlines() if line]
+        rng.shuffle(decls)
+        cuts = sorted(rng.sample(range(1, len(decls)), rng.randint(0, 2)))
+        parts = [decls[a:b] for a, b in zip([0, *cuts], [*cuts, None])]
+        parts[0].insert(0, header + "\n}\n")
+        (tmp_path / str(seed)).mkdir()
+        split = [f"{seed}/{i}.psy" for i in range(len(parts))]
+        for name, part in zip(split, parts):
+            (tmp_path / name).write_text("".join(part), encoding="utf-8")
+        canonical = f"{seed}/canonical.psy"
+        (tmp_path / canonical).write_text(text, encoding="utf-8")
+        ids = rng.sample(list(model.entity_ids), 3)
+        assert _cli_outputs(split, ids, capsys) == \
+            _cli_outputs([canonical], ids, capsys), f"seed {seed}"
