@@ -71,10 +71,16 @@ bench-smoke:
 CMD ?= check corpus/paper/*.psy
 
 # Runs one CLI command, CMD, under python -X importtime and prints the 15
-# modules with the largest self time, in microseconds. The command's own
-# output is discarded.
+# modules with the largest self time, in microseconds. Imports are cold, as
+# in the benchmark's children: src/psysafe/__pycache__ is deleted and no
+# bytecode is written, so each psysafe module's self time includes its
+# compile, while the standard library reads its installed bytecode (a
+# PYTHONPYCACHEPREFIX would hide that too). The command's own output is
+# discarded.
 importtime:
-	@PYTHONPATH=src python3 -X importtime -m psysafe $(CMD) 2>&1 >/dev/null \
+	@rm -rf src/psysafe/__pycache__
+	@PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src \
+	  python3 -X importtime -m psysafe $(CMD) 2>&1 >/dev/null \
 	  | awk -F'|' '/^import time: +[0-9]/ { sub(/^import time: +/, "", $$1); \
 	    sub(/^ +/, "", $$3); printf "%8d us  %s\n", $$1, $$3 }' \
 	  | sort -k1,1nr | head -n 15

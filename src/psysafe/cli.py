@@ -183,59 +183,71 @@ def cmd_fmt(args) -> int:
     return EX_OK
 
 
-def build_arg_parser() -> _ArgumentParser:
+_FILES = ("files",), {"nargs": "+", "metavar": "FILE"}
+
+#: The commands, in usage order: name -> (help, function, arguments), each
+#: argument the positional and keyword arguments of ``add_argument``.
+_COMMANDS = {
+    "check": (
+        "parse, resolve, validate the control structure, and run all lints",
+        cmd_check,
+        [_FILES,
+         (("--strict",), {"action": "store_true",
+                          "help": "warnings fail the run"}),
+         (("--config",), {"metavar": "PATH",
+                          "help": "lint config file (default: psysafe.conf "
+                                  "next to the first input)"}),
+         (("--coverage",), {"action": "store_true",
+                            "help": "print the UCA kind coverage table"})]),
+    "psysil": (
+        "determine the PsySIL level for an (S, E, C) triple",
+        cmd_psysil,
+        [(("severity",), {"metavar": "S"}),
+         (("exposure",), {"metavar": "E"}),
+         (("controllability",), {"metavar": "C"})]),
+    "report": (
+        "emit a full analysis report",
+        cmd_report,
+        [_FILES,
+         (("--format",), {"required": True, "choices": ("json", "md")}),
+         (("--config",), {"metavar": "PATH",
+                          "help": "lint config file, as for check"}),
+         (("--out",), {"metavar": "PATH",
+                       "help": "write to a file instead of stdout"})]),
+    "trace": (
+        "print the traceability subgraph reachable from an entity",
+        cmd_trace,
+        [_FILES,
+         (("--from",), {"dest": "from_id", "required": True,
+                        "metavar": "ID"}),
+         (("--dir",), {"choices": ("up", "down", "both"),
+                       "default": "both"})]),
+    "fmt": ("print the canonical form", cmd_fmt, [_FILES]),
+}
+
+
+def build_arg_parser(command: str | None = None) -> _ArgumentParser:
+    """The CLI's parser, with every command of :data:`_COMMANDS`, or with
+    ``command`` alone. Its usage line names all of them either way, so a
+    parse of a ``command`` argv prints what the full parser prints; the
+    full one reports a missing or unknown command."""
     parser = _ArgumentParser(
         prog="psysafe",
         description="Psychological-safety hazard analysis for "
                     "human/autonomous-vehicle interaction models.")
     parser.add_argument("--version", action="version",
                         version=f"psysafe {__version__}")
+    # The usage line argparse writes for all commands. The full parser
+    # takes none: a metavar also names the command in its messages.
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_ArgumentParser)
-
-    p_check = sub.add_parser("check", help="parse, resolve, validate the "
-                             "control structure, and run all lints")
-    p_check.add_argument("files", nargs="+", metavar="FILE")
-    p_check.add_argument("--strict", action="store_true",
-                         help="warnings fail the run")
-    p_check.add_argument("--config", metavar="PATH",
-                         help="lint config file (default: psysafe.conf "
-                         "next to the first input)")
-    p_check.add_argument("--coverage", action="store_true",
-                         help="print the UCA kind coverage table")
-    p_check.set_defaults(func=cmd_check)
-
-    p_psysil = sub.add_parser("psysil",
-                              help="determine the PsySIL level for an "
-                              "(S, E, C) triple")
-    p_psysil.add_argument("severity", metavar="S")
-    p_psysil.add_argument("exposure", metavar="E")
-    p_psysil.add_argument("controllability", metavar="C")
-    p_psysil.set_defaults(func=cmd_psysil)
-
-    p_report = sub.add_parser("report", help="emit a full analysis report")
-    p_report.add_argument("files", nargs="+", metavar="FILE")
-    p_report.add_argument("--format", required=True,
-                          choices=("json", "md"))
-    p_report.add_argument("--config", metavar="PATH",
-                          help="lint config file, as for check")
-    p_report.add_argument("--out", metavar="PATH",
-                          help="write to a file instead of stdout")
-    p_report.set_defaults(func=cmd_report)
-
-    p_trace = sub.add_parser("trace", help="print the traceability "
-                             "subgraph reachable from an entity")
-    p_trace.add_argument("files", nargs="+", metavar="FILE")
-    p_trace.add_argument("--from", dest="from_id", required=True,
-                         metavar="ID")
-    p_trace.add_argument("--dir", choices=("up", "down", "both"),
-                         default="both")
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_fmt = sub.add_parser("fmt", help="print the canonical form")
-    p_fmt.add_argument("files", nargs="+", metavar="FILE")
-    p_fmt.set_defaults(func=cmd_fmt)
-
+                                parser_class=_ArgumentParser, metavar=metavar)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for args, kwargs in arguments:
+                p.add_argument(*args, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -294,7 +306,9 @@ def _run(argv: Sequence[str]) -> tuple[int, object]:
     arguments, on which each command leaves its model and results as
     ``built``, or the :class:`DiagnosticError` it raised, whose traceback
     holds the frames that built its input."""
-    parser = build_arg_parser()
+    # Build only the subparser that argv asks for, when it names one.
+    parser = build_arg_parser(argv[0] if argv and argv[0] in _COMMANDS
+                              else None)
     prog = parser.prog
     held = None
     try:

@@ -8,7 +8,7 @@ retired).
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class Severity(enum.Enum):
@@ -20,16 +20,14 @@ class Severity(enum.Enum):
         return self.value
 
 
-class SourceSpan(NamedTuple):
+class SourceSpan(namedtuple("SourceSpan", "file start_line start_col")):
     """Where a finding starts in a source file: its first character.
 
     Lines and columns are 1-based. Columns count Unicode scalar values, not
     bytes.
     """
 
-    file: str
-    start_line: int
-    start_col: int
+    __slots__ = ()
 
 
 #: Span used for findings that do not originate from a source file
@@ -37,13 +35,13 @@ class SourceSpan(NamedTuple):
 SYNTHETIC_SPAN = SourceSpan("<model>", 1, 1)
 
 
-class LintRule(NamedTuple):
-    id: str
-    default_severity: Severity
-    #: As the rule table in ``docs/rules.md`` states it.
-    description: str
-    #: Its findings stop the run (exit 2), so no config may set it.
-    aborts: bool = False
+class LintRule(namedtuple("LintRule", [
+        "id", "default_severity",
+        #: As the rule table in ``docs/rules.md`` states it.
+        "description",
+        #: Its findings stop the run (exit 2), so no config may set it.
+        "aborts"], defaults=[False])):
+    __slots__ = ()
 
 
 _CATALOG = [
@@ -90,15 +88,8 @@ _CATALOG = [
 RULES: dict[str, LintRule] = {rule.id: rule for rule in _CATALOG}
 
 
-class _DiagnosticFields(NamedTuple):
-    rule: str
-    severity: Severity
-    message: str
-    span: SourceSpan
-    related: tuple[str, ...] = ()
-
-
-class Diagnostic(_DiagnosticFields):
+class Diagnostic(namedtuple("Diagnostic", "rule severity message span related",
+                            defaults=[()])):
     """A single finding: parse error, resolution error, or lint result.
     Its rule must be in :data:`RULES`, also after ``_replace``."""
 

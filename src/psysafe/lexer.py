@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
-from .diagnostics import Diagnostic, SourceSpan, diag
+from .diagnostics import SourceSpan, diag
 from .model import DECLS, Form, spelling
 
 
@@ -79,15 +79,14 @@ _ALLOW_RE = re.compile(r"\s*psysafe-allow(|\s.*)")
 RULE_ID_RE = re.compile(r"\bPSY[0-9]{3}\b")
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    #: Decoded payload: unescaped string value or parsed integer.
-    value: object
-    file: str
-    line: int
-    #: 1-based, in code points.
-    col: int
+class Token(namedtuple("Token", [
+        "kind", "text",
+        #: Decoded payload: unescaped string value or parsed integer.
+        "value",
+        "file", "line",
+        #: 1-based, in code points.
+        "col"])):
+    __slots__ = ()
 
     @property
     def span(self) -> SourceSpan:
@@ -95,11 +94,11 @@ class Token(NamedTuple):
         return _new(SourceSpan, self[3:])
 
 
-class LexResult(NamedTuple):
-    tokens: list[Token]
-    diagnostics: list[Diagnostic]
-    #: line number -> rule IDs suppressed on that line.
-    allows: dict[int, frozenset[str]]
+class LexResult(namedtuple("LexResult", [
+        "tokens", "diagnostics",
+        #: line number -> rule IDs suppressed on that line.
+        "allows"])):
+    __slots__ = ()
 
 
 def tokenize(source: str, file: str = "<input>",

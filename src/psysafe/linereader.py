@@ -18,9 +18,9 @@ import re
 from functools import cache
 
 from .diagnostics import Diagnostic, SourceSpan
-from .lexer import (_ESCAPE_RE, _IDENT_PATTERN, _INT_PATTERN,
-                    _NEWLINE_PATTERN, KEYWORDS, Token, TokenKind, _new,
-                    _record_allow, tokenize)
+from .lexer import (_IDENT_PATTERN, _INT_PATTERN, _NEWLINE_PATTERN,
+                    KEYWORDS, Token, TokenKind, _new, _record_allow,
+                    tokenize)
 from .model import DECLS, Field, Form, spelling
 from .parser import _PLANS, RawModel, _block_error, parse
 
@@ -34,7 +34,11 @@ _LINE_END = re.compile(r"[ \t]*(\})?[ \t]*(?:#(.*))?").fullmatch
 
 
 def _unescape(text: str) -> str:
-    return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+    """Decode a string body that holds only the escapes ``\\"`` and
+    ``\\\\``: split at each ``\\\\`` (escapes pair left to right)."""
+    if "\\" not in text:
+        return text
+    return "\\".join(p.replace('\\"', '"') for p in text.split("\\\\"))
 
 
 def _checked(convert, valid):

@@ -8,8 +8,8 @@ that rule for that declaration.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 from .diagnostics import (Diagnostic, RULES, Severity, diag,
                           sort_diagnostics)
@@ -34,15 +34,13 @@ def _setting_error(rule_id: str, value: str) -> str | None:
     return None
 
 
-class _LintConfigFields(NamedTuple):
-    overrides: Mapping[str, str] = MappingProxyType({})
-    #: Read by nothing in psysafe (``check --strict`` sets the exit
-    #: code); kept while perfbench/replay.py still sets it.
-    strict: bool = False
-    allows: Mapping[tuple[str, int], frozenset[str]] = MappingProxyType({})
-
-
-class LintConfig(_LintConfigFields):
+class LintConfig(namedtuple("LintConfig", [
+        "overrides",
+        #: Read by nothing in psysafe (``check --strict`` sets the exit
+        #: code); kept while perfbench/replay.py still sets it.
+        "strict",
+        "allows"], defaults=[MappingProxyType({}), False,
+                             MappingProxyType({})])):
     """Severity overrides and per-line suppressions.
 
     ``overrides`` maps rule IDs to ``error``/``warning``/``info``/``off``;

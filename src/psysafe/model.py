@@ -14,10 +14,11 @@ itself is a pure function of its input.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .diagnostics import (Diagnostic, DiagnosticError, SourceSpan,
                           SYNTHETIC_SPAN, diag)
@@ -127,46 +128,40 @@ class EdgeType(enum.Enum):
         return self.value
 
 
-class Stakeholder(NamedTuple):
-    id: str
-    name: str
+class Stakeholder(namedtuple("Stakeholder", "id name")):
+    __slots__ = ()
 
 
-class Stake(NamedTuple):
-    id: str
-    description: str
-    holder: str
+class Stake(namedtuple("Stake", "id description holder")):
+    __slots__ = ()
 
 
-class Loss(NamedTuple):
-    id: str
-    description: str
-    violates: frozenset[str]
+class Loss(namedtuple("Loss", "id description violates")):
+    __slots__ = ()
 
 
-class Hazard(NamedTuple):
-    id: str
-    description: str
-    leads_to: frozenset[str]
-    #: Free-text note on system state, external conditions, and
-    #: psychological state.
-    context: str | None = None
+class Hazard(namedtuple("Hazard", [
+        "id", "description", "leads_to",
+        #: Free-text note on system state, external conditions, and
+        #: psychological state.
+        "context"], defaults=[None])):
+    __slots__ = ()
 
 
-class SafetyGoal(NamedTuple):
-    id: str
-    description: str
-    prevents: frozenset[str]
+class SafetyGoal(namedtuple("SafetyGoal", "id description prevents")):
+    __slots__ = ()
 
 
-class Responsibility(NamedTuple):
-    id: str
-    description: str
-    assignee: str
-    derived_from: frozenset[str]
+class Responsibility(namedtuple(
+        "Responsibility", "id description assignee derived_from")):
+    __slots__ = ()
 
 
-class Entity(NamedTuple):
+class Entity(namedtuple("Entity", [
+        "id", "name", "level",
+        "kind",  # CONTROLLER or PROCESS
+        "is_human", "sa_level", "psych_state", "algorithm", "process_model"],
+        defaults=[False, None, None, None, ()])):
     """Controller or controlled process in the control structure.
 
     ``level`` is the hierarchy rank, 1 = highest authority. Humans may
@@ -175,60 +170,44 @@ class Entity(NamedTuple):
     algorithm and process models.
     """
 
-    id: str
-    name: str
-    level: int
-    kind: EntityKind  # CONTROLLER or PROCESS
-    is_human: bool = False
-    sa_level: int | None = None
-    psych_state: str | None = None
-    algorithm: str | None = None
-    process_model: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-class ControlAction(NamedTuple):
-    id: str
-    label: str
-    source: str
-    target: str
+class ControlAction(namedtuple("ControlAction", "id label source target")):
+    __slots__ = ()
 
 
-class FeedbackLink(NamedTuple):
-    id: str
-    label: str
-    source: str
-    target: str
+class FeedbackLink(namedtuple("FeedbackLink", "id label source target")):
+    __slots__ = ()
 
 
-class ControlStructure(NamedTuple):
-    entities: tuple[Entity, ...] = ()
-    actions: tuple[ControlAction, ...] = ()
-    feedbacks: tuple[FeedbackLink, ...] = ()
+class ControlStructure(namedtuple("ControlStructure",
+                                  "entities actions feedbacks",
+                                  defaults=[(), (), ()])):
+    __slots__ = ()
 
 
-class Uca(NamedTuple):
-    id: str
-    #: Control action or feedback link the UCA is about.
-    on: str
-    kind: UcaKind
-    context: str
-    hazards: frozenset[str]
+class Uca(namedtuple("Uca", [
+        "id",
+        #: Control action or feedback link the UCA is about.
+        "on",
+        "kind", "context", "hazards"])):
+    __slots__ = ()
 
 
-class LossScenario(NamedTuple):
-    id: str
-    #: UCA (type 1) or control action (type 2) the scenario explains.
-    for_ref: str
-    factor: CausalFactor
-    description: str
+class LossScenario(namedtuple("LossScenario", [
+        "id",
+        #: UCA (type 1) or control action (type 2) the scenario explains.
+        "for_ref",
+        "factor", "description"])):
+    __slots__ = ()
 
 
-class RiskAssessment(NamedTuple):
-    hazard: str
-    severity: SeverityClass
-    exposure: ExposureClass
-    controllability: ControllabilityClass
-    rationale: str | None = None
+class RiskAssessment(namedtuple(
+        "RiskAssessment",
+        "hazard severity exposure controllability rationale",
+        defaults=[None])):
+    __slots__ = ()
 
 
 class Form(enum.Enum):
@@ -250,32 +229,35 @@ def spelling(member: enum.Enum) -> str:
     return member.value if isinstance(member.value, str) else member.name
 
 
-class Field(NamedTuple):
+class Field(namedtuple("Field", [
+        #: Attribute the value sets; None for the entity block, which sets
+        #: several.
+        "attr",
+        #: A :class:`Form`, or the enum class whose member the value is.
+        "form",
+        #: Keyword written before the value, if any.
+        "keyword",
+        #: Names the value in "expected ..." messages, when not the form.
+        "what",
+        #: An optional field is present when its keyword (for the entity
+        #: block, its ``{``) comes next.
+        "optional",
+        #: (whether a value is valid, PSY000 message when not) for an
+        #: identifier, string or integer value that both readers check.
+        "check",
+        #: Kinds a reference field (an ID or ID-list form) may name, in
+        #: message order: None when the field is not a reference, () for
+        #: any declared entity.
+        "kinds",
+        #: Trace edge from the declaration to each target: one
+        #: :class:`EdgeType`, one per target kind (a dict), or None when
+        #: the field is not traced.
+        "edge",
+        #: Names the field in PSY011 wrong-kind messages, when not ``attr``.
+        "label"], defaults=[None, None, False, None, None, None, None])):
     """One value of a declaration, in source order after its keyword."""
 
-    #: Attribute the value sets; None for the entity block, which sets
-    #: several.
-    attr: str | None
-    form: Form | type[enum.Enum]
-    #: Keyword written before the value, if any.
-    keyword: str | None = None
-    #: Names the value in "expected ..." messages, when not the form.
-    what: str | None = None
-    #: An optional field is present when its keyword (for the entity
-    #: block, its ``{``) comes next.
-    optional: bool = False
-    #: (whether a value is valid, PSY000 message when not) for an
-    #: identifier, string or integer value that both readers check.
-    check: tuple[Callable[[object], bool], str] | None = None
-    #: Kinds a reference field (an ID or ID-list form) may name, in message
-    #: order: None when the field is not a reference, () for any declared
-    #: entity.
-    kinds: tuple[EntityKind, ...] | None = None
-    #: Trace edge from the declaration to each target: one type, one per
-    #: target kind, or None when the field is not traced.
-    edge: EdgeType | dict[EntityKind, EdgeType] | None = None
-    #: Names the field in PSY011 wrong-kind messages, when not ``attr``.
-    label: str | None = None
+    __slots__ = ()
 
     def targets(self, decl) -> Iterable[str]:
         value = getattr(decl, self.attr)
@@ -287,26 +269,30 @@ class Field(NamedTuple):
         return " or ".join(k.value for k in self.kinds) or "entity"
 
 
-class DeclSpec(NamedTuple):
+class DeclSpec(namedtuple("DeclSpec", [
+        #: Keywords that begin the declaration. Where there are several,
+        #: the keyword also gives the declaration's ``kind``.
+        "keywords",
+        #: Where the resolved declarations live on an
+        #: :class:`AnalysisModel`.
+        "path",
+        #: Kind of the declared ID; None for entities, whose ``kind`` field
+        #: says it, and for assessments, which declare none.
+        "kind",
+        #: The :class:`Field` values after the keyword, in source order;
+        #: the first is the declaration's key. They set the record's first
+        #: fields, in order; the entity block comes last and its fields
+        #: follow ``kind``.
+        "fields",
+        #: False for assessments, which are keyed by the hazard they rate.
+        "declares_id",
+        #: The entity block's properties, in print order. Each may repeat:
+        #: the last value wins, or all are kept if the record default is
+        #: ``()``.
+        "block"], defaults=[True, ()])):
     """What the model knows about one declaration type."""
 
-    #: Keywords that begin the declaration. Where there are several, the
-    #: keyword also gives the declaration's ``kind``.
-    keywords: tuple[str, ...]
-    #: Where the resolved declarations live on an :class:`AnalysisModel`.
-    path: str
-    #: Kind of the declared ID; None for entities, whose ``kind`` field
-    #: says it, and for assessments, which declare none.
-    kind: EntityKind | None
-    #: The values after the keyword, in source order; the first is the
-    #: declaration's key. They set the record's first fields, in order;
-    #: the entity block comes last and its fields follow ``kind``.
-    fields: tuple[Field, ...]
-    #: False for assessments, which are keyed by the hazard they rate.
-    declares_id: bool = True
-    #: The entity block's properties, in print order. Each may repeat: the
-    #: last value wins, or all are kept if the record default is ``()``.
-    block: tuple[Field, ...] = ()
+    __slots__ = ()
 
     @property
     def refs(self) -> tuple[Field, ...]:
@@ -420,31 +406,20 @@ DECLS: dict[type, DeclSpec] = {
 _EMPTY: Mapping = MappingProxyType({})
 
 
-class _AnalysisModelFields(NamedTuple):
-    title: str
-    sae_level: int
-    boundary: str | None = None
-    stakeholders: tuple[Stakeholder, ...] = ()
-    stakes: tuple[Stake, ...] = ()
-    losses: tuple[Loss, ...] = ()
-    hazards: tuple[Hazard, ...] = ()
-    goals: tuple[SafetyGoal, ...] = ()
-    responsibilities: tuple[Responsibility, ...] = ()
-    structure: ControlStructure = ControlStructure()
-    ucas: tuple[Uca, ...] = ()
-    scenarios: tuple[LossScenario, ...] = ()
-    assessments: Mapping[str, RiskAssessment] = _EMPTY
-    #: The last field, so equality can leave it out.
-    spans: Mapping[str, SourceSpan] = _EMPTY
-
-
-class AnalysisModel(_AnalysisModelFields):
+class AnalysisModel(namedtuple("AnalysisModel", [
+        "title", "sae_level", "boundary", "stakeholders", "stakes",
+        "losses", "hazards", "goals", "responsibilities", "structure",
+        "ucas", "scenarios", "assessments",
+        #: The last field, so equality can leave it out.
+        "spans"], defaults=[None, (), (), (), (), (), (), ControlStructure(),
+                            (), (), _EMPTY, _EMPTY])):
     """Fully resolved model; all cross-references are known to exist.
 
     Collections are sorted by entity ID, so two models with the same
     declarations compare equal regardless of declaration order. Source
     spans are excluded from equality. It keeps a ``__dict__`` for its
-    cached properties but, like the record, takes no attribute assignment.
+    cached properties but, like the other records, takes no attribute
+    assignment.
     """
 
     def __setattr__(self, name: str, value) -> None:

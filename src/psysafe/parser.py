@@ -20,25 +20,22 @@ one header across the concatenation.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diagnostics import Diagnostic, SourceSpan, diag
 from .lexer import Token, TokenKind, tokenize
 from .model import DECLS, Field, Form, spelling
 
 
-class RawHeader(NamedTuple):
-    title: str
-    sae_level: int
-    boundary: str | None
-    span: SourceSpan
+class RawHeader(namedtuple("RawHeader", "title sae_level boundary span")):
+    __slots__ = ()
 
 
-class RawModel(NamedTuple):
+class RawModel(namedtuple("RawModel", "header decls")):
     """Parse result: (declaration, span) pairs in source order, each a
     domain type of :data:`psysafe.model.DECLS`, references unchecked."""
-    header: RawHeader | None
-    decls: tuple[tuple[object, SourceSpan], ...]
+
+    __slots__ = ()
 
 
 class _ParseFailure(Exception):

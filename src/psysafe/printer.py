@@ -65,7 +65,9 @@ def print_canonical(model: AnalysisModel) -> str:
         out.append(f"  boundary {_q(model.boundary)}")
     out.append("}")
     for spec, key, keyword, steps in _PLANS:
-        items = sorted(spec.items(model), key=key)
+        # Collections are sorted by ID already; assessments are a dict.
+        items = (spec.items(model) if spec.declares_id
+                 else sorted(spec.items(model), key=key))
         if items:
             out.append("")
         for item in items:

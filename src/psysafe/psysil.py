@@ -9,7 +9,7 @@ table data below is the ground truth the tool ships.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import (AnalysisModel, ControllabilityClass, ExposureClass,
                     PsySilLevel, SafetyGoal, SeverityClass)
@@ -45,11 +45,9 @@ RATED_CELLS: dict[tuple[SeverityClass, ExposureClass, ControllabilityClass],
 }
 
 
-class PsySilCell(NamedTuple):
-    severity: SeverityClass
-    exposure: ExposureClass
-    controllability: ControllabilityClass
-    level: PsySilLevel
+class PsySilCell(namedtuple("PsySilCell",
+                            "severity exposure controllability level")):
+    __slots__ = ()
 
 
 def determine_psysil(severity: SeverityClass, exposure: ExposureClass,

@@ -13,11 +13,10 @@ and file names are relativized, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from json.encoder import encode_basestring
-from typing import NamedTuple
 
 from . import __version__
-from .diagnostics import Diagnostic
 from .lints import LintConfig, analyze
 from .model import AnalysisModel, EntityKind, ScenarioType, UcaKind
 from .psysil import determine_psysil, goal_psysil
@@ -40,11 +39,11 @@ _UNASSESSED = {"severity": "-", "exposure": "-", "controllability": "-",
                "level": "unassessed"}
 
 
-class Report(NamedTuple):
-    #: The JSON document, keys in the documented order.
-    document: dict
-    diagnostics: list[Diagnostic]
-    model: AnalysisModel
+class Report(namedtuple("Report", [
+        #: The JSON document, keys in the documented order.
+        "document",
+        "diagnostics", "model"])):
+    __slots__ = ()
 
 
 def _relativize(path: str) -> str:
@@ -91,7 +90,7 @@ def build_report(model: AnalysisModel,
         })
 
     goals_psysil = []
-    for goal in sorted(model.goals, key=lambda g: g.id):
+    for goal in model.goals:
         level = goal_psysil(goal, model)
         goals_psysil.append({
             "goal": goal.id,
@@ -100,8 +99,8 @@ def build_report(model: AnalysisModel,
 
     matrices = {}
     for key, collection, attr, _, _ in _MATRICES:
-        decls = sorted(getattr(model, collection), key=lambda d: d.id)
-        matrices[key] = {d.id: sorted(getattr(d, attr)) for d in decls}
+        matrices[key] = {d.id: sorted(getattr(d, attr))
+                         for d in getattr(model, collection)}
 
     diagnostics = analyze(model, config)
     files = {f: _relativize(f) for f in {d.span.file for d in diagnostics}}

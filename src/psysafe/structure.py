@@ -8,8 +8,9 @@ intermediate levels, that closes its loop.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import gt, lt
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
 from .model import AnalysisModel, ControlStructure, EntityKind, Uca, UcaKind
@@ -134,11 +135,10 @@ def _reach_masks(adj: dict[str, set[str]], bits: dict[str, int],
     return masks
 
 
-class CoverageRow(NamedTuple):
+class CoverageRow(namedtuple("CoverageRow", "action by_kind")):
     """Which of the four UCA kinds are covered for one control action."""
 
-    action: str
-    by_kind: tuple[tuple[UcaKind, tuple[str, ...]], ...]
+    __slots__ = ()
 
     def ucas_for(self, kind: UcaKind) -> tuple[str, ...]:
         for k, ids in self.by_kind:

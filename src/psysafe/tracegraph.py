@@ -13,19 +13,18 @@ directions it walks, plus one sort per node its walk expands.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterator
 
 from .model import DECLS, AnalysisModel, EdgeType, Form
 
 
-class TraceEdge(NamedTuple):
-    source: str
-    target: str
-    type: EdgeType
+class TraceEdge(namedtuple("TraceEdge", "source target type")):
+    __slots__ = ()
 
 
-class TraceGraph(NamedTuple):
-    edges: tuple[TraceEdge, ...]
+class TraceGraph(namedtuple("TraceGraph", "edges")):
+    __slots__ = ()
 
 
 def _edges(model: AnalysisModel) -> Iterator[tuple[str, str, EdgeType]]:

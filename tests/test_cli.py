@@ -402,6 +402,58 @@ def test_run_returns_the_exit_code(monkeypatch, capsys, argv, code):
     capsys.readouterr()
 
 
+COMMANDS = ("check", "psysil", "report", "trace", "fmt")
+
+#: Help, version and usage errors, each printed by the parser that run()
+#: builds: one command's alone when argv[0] names a command.
+PARSER_ARGVS = [
+    *([command, "--help"] for command in COMMANDS),
+    ["--help"], ["--version"], [], ["nope", "a.psy"],
+    ["check", "a.psy", "--version"], ["check", "--frobnicate", "a.psy"],
+    ["check", "--cov", "a.psy"], ["check"],
+    ["report", "--format", "xml", "a.psy"], ["report", "a.psy"],
+    ["trace", "a.psy", "--from", "X", "--dir", "sideways"],
+    ["psysil", "S1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "none")
+def test_a_one_command_parser_prints_what_the_full_parser_prints(
+        monkeypatch, capsys, tmp_path, argv):
+    from psysafe import cli
+    monkeypatch.chdir(tmp_path)  # no a.psy: check --cov a.psy exits 2
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    full = cli.build_arg_parser
+
+    def spy(command=None):
+        built.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_arg_parser", spy)
+    code = cli.run(argv)
+    printed = capsys.readouterr()
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    monkeypatch.setattr(cli, "build_arg_parser", lambda command=None: full())
+    assert (cli.run(argv), capsys.readouterr()) == (code, printed)
+    assert printed.out or printed.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+], ids=["none", "unknown"])
+def test_usage_errors_without_a_command_name_the_argument(capsys, argv,
+                                                          error):
+    from psysafe.cli import run
+    assert run(argv) == 64
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage == ("usage: psysafe [-h] [--version] "
+                     "{check,psysil,report,trace,fmt} ...")
+    assert message.startswith(f"psysafe: error: {error}")
+
+
 #: Registers an atexit handler, then calls cli.main() or run().
 ENTRY = """\
 import atexit, sys

@@ -1,6 +1,6 @@
 """The import budget: ``import psysafe`` loads no submodule, each
-command loads only the modules it runs, and none loads ``dataclasses``
-or ``inspect``.
+command loads only the modules it runs, none loads ``dataclasses``
+or ``inspect``, and none builds a ``typing.ForwardRef``.
 
 Each command runs in a fresh interpreter, since this process has loaded
 every module already.
@@ -42,11 +42,19 @@ BUDGET = [
 ]
 
 #: Runs ``cli.run`` on argv (none: only ``import psysafe``), then prints
-#: the loaded psysafe modules and, for each of ``json``, ``dataclasses``
-#: and ``inspect``, whether the run loaded it, as the last line of stdout.
+#: the loaded psysafe modules, for each of ``json``, ``dataclasses`` and
+#: ``inspect`` whether the run loaded it, and how many ``typing.ForwardRef``
+#: objects it built (``typing.NamedTuple`` builds one per string
+#: annotation), as the last line of stdout.
 PROBE = """\
-import glob, sys
+import glob, sys, typing
 preloaded = set(sys.modules)
+forward_refs = []
+forward_ref_init = typing.ForwardRef.__init__
+def counting_init(self, *args, **kwargs):
+    forward_refs.append(args)
+    forward_ref_init(self, *args, **kwargs)
+typing.ForwardRef.__init__ = counting_init
 argv = {argv!r}
 if argv is None:
     import psysafe
@@ -59,7 +67,7 @@ else:
 print()
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "psysafe"),
       *(m in sys.modules and m not in preloaded
-        for m in ("json", "dataclasses", "inspect")))
+        for m in ("json", "dataclasses", "inspect")), len(forward_refs))
 """
 
 
@@ -72,11 +80,12 @@ def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
         [sys.executable, "-c", source], capture_output=True, text=True,
         cwd=REPO_ROOT, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    *loaded, json_flag, dataclasses_flag, inspect_flag = \
+    *loaded, json_flag, dataclasses_flag, inspect_flag, forward_refs = \
         proc.stdout.splitlines()[-1].split()
     assert set(loaded) == modules
     assert json_flag == str(json_loaded)
     assert dataclasses_flag == inspect_flag == "False"
+    assert forward_refs == "0"
 
 
 def test_every_public_name_is_its_home_module_object():

@@ -1,4 +1,5 @@
-"""The record contract: every domain type is an immutable ``NamedTuple``.
+"""The record contract: every domain type is an immutable subclass of a
+``collections.namedtuple`` class.
 
 Records build with ``Type(...)``, copy with ``_replace``, list their
 fields in ``_fields`` and convert with ``_asdict``. Construction checks
