@@ -29,13 +29,17 @@ bench:
 
 N ?= 10
 
-# Runs workload $(W) in $(N) pairs of perfbench runs, revision $(REV)
-# against this checkout's working tree, both written out by git archive,
-# alternating which goes first, and prints each metric's medians and this
-# checkout's wins: see scripts/bench_ab.py.
+# Runs each workload of $(W), one after another, in $(N) pairs of perfbench
+# runs, revision $(REV) against this checkout's working tree, both written
+# out by git archive, alternating which goes first, and prints each
+# metric's medians and this checkout's wins: see scripts/bench_ab.py.
+# W="synth-broken synth-16k" runs two rounds; the first that fails stops.
 bench-ab:
-	@test -n "$(REV)" || { echo "usage: make bench-ab REV=rev [W=workload] [N=10]" >&2; exit 2; }
-	python3 scripts/bench_ab.py $(REV) --workload $(W) --pairs $(N)
+	@test -n "$(REV)" || { echo "usage: make bench-ab REV=rev [W=\"workload ...\"] [N=10]" >&2; exit 2; }
+	@for w in $(W); do \
+	  echo "python3 scripts/bench_ab.py $(REV) --workload $$w --pairs $(N)"; \
+	  python3 scripts/bench_ab.py $(REV) --workload $$w --pairs $(N) || exit 1; \
+	done
 
 # Runs the CLI ops of every workload, on inputs of seed $(SEED), with the
 # sources of revision $(REV) (from git archive) and of this checkout, and

@@ -127,7 +127,7 @@ def format_diagnostic(d: Diagnostic, color: bool = False) -> str:
 
     This line format is a stability guarantee; CI scripts grep it.
     """
-    sev = f"{d.severity}[{d.rule}]"
+    sev = f"{d.severity._value_}[{d.rule}]"
     if color:
         sev = f"{_COLORS[d.severity]}{sev}\x1b[0m"
     return (f"{d.span.file}:{d.span.start_line}:{d.span.start_col}: "
@@ -135,9 +135,13 @@ def format_diagnostic(d: Diagnostic, color: bool = False) -> str:
 
 
 class DiagnosticError(Exception):
-    """Raised when a pipeline stage fails; carries every finding, sorted."""
+    """Raised when a pipeline stage fails; carries every finding, sorted.
+    Only ``str()`` formats them, joined by "; " (``args`` is empty): the
+    CLI prints the findings themselves."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
+        super().__init__()
         self.diagnostics = sort_diagnostics(diagnostics)
-        super().__init__("; ".join(format_diagnostic(d)
-                                   for d in self.diagnostics))
+
+    def __str__(self) -> str:
+        return "; ".join(map(format_diagnostic, self.diagnostics))

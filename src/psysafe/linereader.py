@@ -7,9 +7,11 @@ lines and records the allows of comment lines. A file is cut into runs of
 lines, each from line 1 or from a line whose first word is a declaration
 keyword; each stretch of runs the patterns cannot read (the header, a
 broken or odd declaration) goes to the token reader alone, so every
-diagnostic is the token reader's. Only inputs above
-``loader.FAST_MIN_CHARS`` import this module, so small ones never
-compile it.
+diagnostic is the token reader's. A line with a backslash is matched with
+its string escapes hidden (:func:`_hide`), so that a string body is one
+run of non-quote characters; a line whose escapes cannot be hidden goes
+to the token reader too. Only inputs above ``loader.FAST_MIN_CHARS``
+import this module, so small ones never compile it.
 """
 
 from __future__ import annotations
@@ -24,21 +26,34 @@ from .lexer import (_IDENT_PATTERN, _INT_PATTERN, _NEWLINE_PATTERN,
 from .model import DECLS, Field, Form, spelling
 from .parser import _PLANS, RawModel, _block_error, parse
 
-#: A string allows only the escapes the lexer decodes, \" and \\.
+#: A string body is one run of non-quote characters, which sre scans far
+#: faster than the lexer's escape-aware body: the patterns only see a line
+#: with a backslash once :func:`_hide` has taken its escapes out.
 _VALUES = {Form.ID: f"({_IDENT_PATTERN})",
            Form.IDS: f"({_IDENT_PATTERN}(?:[ \t]*,[ \t]*{_IDENT_PATTERN})*)",
            Form.INT: f"({_INT_PATTERN})",
-           Form.STRING: r'"([^"\\]*(?:\\["\\][^"\\]*)*)"'}
+           Form.STRING: '"([^"]*)"'}
 #: The end of a line: perhaps the '}' of a block, perhaps a comment.
 _LINE_END = re.compile(r"[ \t]*(\})?[ \t]*(?:#(.*))?").fullmatch
 
 
-def _unescape(text: str) -> str:
-    """Decode a string body that holds only the escapes ``\\"`` and
-    ``\\\\``: split at each ``\\\\`` (escapes pair left to right)."""
-    if "\\" not in text:
-        return text
-    return "\\".join(p.replace('\\"', '"') for p in text.split("\\\\"))
+def _hide(line: str) -> str:
+    """``line`` with each ``\\\\`` as NUL, then each ``\\"`` as ``\\x01``,
+    paired left to right as the lexer pairs escapes. Raises ValueError, so
+    that the token reader reads the line, on a backslash left over or a NUL
+    or ``\\x01`` of its own. A hidden comment records the same allows: the
+    four characters are all neither word nor whitespace characters."""
+    if "\0" in line or "\x01" in line:
+        raise ValueError(line)
+    line = line.replace("\\\\", "\0").replace('\\"', "\x01")
+    if "\\" in line:
+        raise ValueError(line)
+    return line
+
+
+def _unhide(text: str | None) -> str | None:
+    """A value read from a hidden line, its escapes decoded."""
+    return text and text.replace("\x01", '"').replace("\0", "\\")
 
 
 def _checked(convert, valid):
@@ -59,10 +74,10 @@ _IDS = _checked(lambda t: frozenset(map(str.strip, t.split(","))),
 def _field_pattern(f: Field) -> tuple[str, object]:
     """A field's pattern after the words before it, with one group for its
     value (a flag's is its keyword), and the converter of that group's
-    text: None when the text is the value, as for an ID or a string with no
-    escape. A converter raises ValueError on what the token reader would
-    report: a keyword in an ID list, an integer too long, a value that the
-    field's ``check`` rejects."""
+    text: None when the text is the value, as for an ID or a string. A
+    converter raises ValueError on what the token reader would report: a
+    keyword in an ID list, an integer too long, a value that the field's
+    ``check`` rejects."""
     if f.form is Form.FLAG:
         return f"[ \t]+({f.keyword})", bool
     if isinstance(f.form, Form):
@@ -81,24 +96,22 @@ def _field_pattern(f: Field) -> tuple[str, object]:
 def _line_readers() -> dict:
     """Keyword -> (fullmatch of its line, type, number n of its line
     fields, the record's values after its first n, (value index,
-    converter) per field that has one, value indices of its IDs and of its
-    strings, block). Group i + 1 holds the value of line field i, which is
-    record field i. Optional fields are strings: an absent one leaves its
-    group None, the record default. ``block`` is (the group of the rest of
-    the line after an entity's ``{``, match of one property, (attribute,
-    converter, keeps every value) per property group), else None."""
+    converter) per field that has one, value indices of its IDs, block).
+    Group i + 1 holds the value of line field i, which is record field i.
+    Optional fields are strings: an absent one leaves its group None, the
+    record default. ``block`` is (the group of the rest of the line after
+    an entity's ``{``, match of one property, (attribute, converter, keeps
+    every value) per property group), else None."""
     readers = {}
     for keyword, (cls, initial, *_) in _PLANS.items():
-        pattern, converts, block = [keyword], [], None
-        ids, strings = [], []
+        pattern, converts, ids, block = [keyword], [], [], None
         for index, f in enumerate(DECLS[cls].fields):
             if f.form is Form.BLOCK:  # the last field
                 pattern.append(r"(?:[ \t]*\{(.*))?")
                 props = [_field_pattern(p) for p in DECLS[cls].block]
                 block = (index + 1, re.compile("|".join(
                     part for part, _ in props)).match, tuple(
-                    (p.attr, convert or _unescape,
-                     cls._field_defaults.get(p.attr) == ())
+                    (p.attr, convert, cls._field_defaults.get(p.attr) == ())
                     for p, (_, convert) in zip(DECLS[cls].block, props)))
                 continue
             part, convert = _field_pattern(f)
@@ -107,30 +120,30 @@ def _line_readers() -> dict:
                 converts.append((index, convert))
             if f.form is Form.ID:
                 ids.append(index)
-            elif f.form is Form.STRING:
-                strings.append(index)
         n = len(DECLS[cls].fields) - (block is not None)
         readers[keyword] = (
             re.compile("".join(pattern) + r"[ \t]*(?:#(.*))?").fullmatch,
             cls, n, [initial.get(f, cls._field_defaults.get(f))
                      for f in cls._fields[n:]], tuple(converts),
-            tuple(ids), tuple(strings), block)
+            tuple(ids), block)
     return readers
 
 
-def _read_block(lines: list[str], number: int, pos: int, values: dict,
-                item, props: tuple, allows: dict) -> int:
+def _read_block(lines: list[str], number: int, line: str, hidden: bool,
+                pos: int, values: dict, item, props: tuple,
+                allows: dict) -> int:
     """Read into ``values`` the entity block whose ``{`` ends before
-    ``pos`` of line ``number`` and record its allows: the line of its
-    ``}``. Raises ValueError when the patterns cannot read it, so that the
-    token reader reads its run. Each property is on one line with its
-    value; ``item`` and ``props`` are the last two entries of a reader's
-    block."""
-    for number in range(number, len(lines) + 1):
-        line = lines[number - 1]
+    ``pos`` of ``line``, line ``number`` as :func:`_hide` gives it when
+    ``hidden``, and record its allows: the line of its ``}``. Raises
+    ValueError when the patterns cannot read it, so that the token reader
+    reads its run. Each property is on one line with its value; ``item``
+    and ``props`` are the last two entries of a reader's block."""
+    while True:
         while m := item(line, pos):
             attr, convert, keeps = props[m.lastindex - 1]
-            value = convert(m[m.lastindex])
+            value = _unhide(m[m.lastindex]) if hidden else m[m.lastindex]
+            if convert:
+                value = convert(value)
             values[attr] = values[attr] + (value,) if keeps else value
             pos = m.end()
         if not (end := _LINE_END(line, pos)):
@@ -141,8 +154,12 @@ def _read_block(lines: list[str], number: int, pos: int, values: dict,
             if _block_error(values):  # the token reader reports it
                 raise ValueError(line)
             return number
-        pos = 0
-    raise ValueError("no '}'")
+        if number == len(lines):
+            raise ValueError("no '}'")
+        line, pos = lines[number], 0
+        number += 1
+        if hidden := "\\" in line:
+            line = _hide(line)
 
 
 def _read_lines(source: str, file: str
@@ -203,26 +220,27 @@ def _read_lines(source: str, file: str
             first = decls.pop()[1].start_line
         else:
             try:
+                if hidden := "\\" in line:
+                    line = _hide(line)
                 if not (m := reader[0](line)):
                     raise ValueError(line)
-                _, cls, n, rest, converts, ids, strings, block = reader
+                _, cls, n, rest, converts, ids, block = reader
                 groups = m.groups()
                 values = [*groups[:n], *rest]
+                if hidden:  # only a string can hold a hidden escape
+                    values[:n] = map(_unhide, groups[:n])
                 for index, convert in converts:
                     values[index] = convert(values[index])
                 for index in ids:
                     if values[index] in KEYWORDS:
                         raise ValueError(line)
-                if "\\" in line:
-                    for index in strings:
-                        if values[index]:
-                            values[index] = _unescape(values[index])
-                if groups[-1]:  # a comment, unless a block opens
+                if groups[-1]:  # a comment, unless a block opens (see _hide)
                     _record_allow(allows, groups[-1], number)
                 if block and m[block[0]] is not None:
                     named = dict(zip(cls._fields, values))
-                    last = _read_block(lines, number, m.start(block[0]),
-                                       named, *block[1:], allows)
+                    last = _read_block(lines, number, line, hidden,
+                                       m.start(block[0]), named,
+                                       *block[1:], allows)
                     values = named.values()
                     for _ in range(last - number):
                         next(numbered)  # the block's lines

@@ -74,10 +74,14 @@ def validate_structure(structure: ControlStructure,
     feedback_adj: dict[str, set[str]] = {}
     for fb in structure.feedbacks:
         feedback_adj.setdefault(fb.source, set()).add(fb.target)
+    # An action whose target feeds straight back to its source closes;
+    # only the others need a walk.
+    walked = [a for a in actions
+              if a.source not in feedback_adj.get(a.target, ())]
     bits = {source: 1 << i for i, source in
-            enumerate(dict.fromkeys(a.source for a in actions))}
-    masks = _reach_masks(feedback_adj, bits, [a.target for a in actions])
-    for action in actions:
+            enumerate(dict.fromkeys(a.source for a in walked))}
+    masks = _reach_masks(feedback_adj, bits, [a.target for a in walked])
+    for action in walked:
         if not masks[action.target] & bits[action.source]:
             diags.append(diag(
                 "PSY010",
@@ -95,7 +99,10 @@ def _reach_masks(adj: dict[str, set[str]], bits: dict[str, int],
     of every node it reaches, itself included. One iterative Tarjan walk,
     so no recursion limit applies: it closes each strongly connected
     component after every component it reaches, so a component's mask is
-    its members' bits and its successors' masks."""
+    its members' bits and its successors' masks. Each node and edge ORs
+    masks of up to ``len(bits)`` bits, so the worst case takes
+    O(edges × sources / 64) word operations: a long chain of sources, each
+    reaching all those after it, is quadratic."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     masks: dict[str, int] = {}

@@ -76,12 +76,14 @@ def test_any_bytes_read_alike(data):
 #: of them may be: what the token reader reports (a keyword as an ID, an
 #: empty string, a zero, a bad escape, an integer too long).
 VALID = {Form.ID: ["SH1", "ST1", "L1", "H1", "CA1", "UCA1.SC1", "x_y9"],
-         Form.STRING: ['"s"', '"a \\" b \\\\"', '"# no comment"', '"\u2028"'],
+         Form.STRING: ['"s"', '"a \\" b \\\\"', '"# no comment"', '"\u2028"',
+                       '"nul \x00 soh \x01"'],
          Form.INT: ["1", "3", "12"]}
 BAD = {Form.ID: ["loss", "of", "context"],
        Form.STRING: ['""', '"bad \\q"', '"open'],
        Form.INT: ["0", "00", "9" * 5000]}
-BLOCKS = ["{ human sa_level 2 }", '{ algorithm "a" }', "{ }"]
+BLOCKS = ["{ human sa_level 2 }", '{ algorithm "a" }', "{ }",
+          '{ algorithm "a \\" b \\\\" }']
 #: Separators between the words of a line, and line ends, among them
 #: characters that str.splitlines takes for line ends and the lexer
 #: rejects.
@@ -272,6 +274,10 @@ FALLBACKS = {
         ('stakeholder SH1 "s"\nstakeholder SH2 "t"\n'
          'stake ST1 "s" of SH1 @\nstake ST2 "s"  # of\n  of SH2\n'
          'stakeholder SH3 "u"', [(3, 5)]),
+    "lone backslash in a trailing comment":
+        ('stakeholder SH1 "s"  # a \\ b', [(1, 1)]),
+    "NUL and an escape on one line":
+        ('stakeholder SH1 "a \x00 b \\\\"', [(1, 1)]),
     "odd runs outnumbering the declarations read":
         ('stakeholder SH1 "s"\nstake ST1 "s" of SH1 @\n'
          'stake ST2 "s" of SH1 @\nstake ST3 "s" of SH1 @\n'
@@ -300,6 +306,32 @@ def test_what_the_token_reader_would_report_falls_back(text, runs,
     calls = spy_tokenize(monkeypatch)
     assert_same(text)
     assert calls == token_runs(text.split("\n"), "t.psy", runs)
+
+
+#: Strings with escapes, and an escape in an allow, each where the patterns
+#: read a line with its escapes hidden.
+ESCAPES = {
+    "block property on the declaration's line":
+        'controller C1 "c" level 1 { algorithm "a \\" b \\\\" '
+        'process_model "\\\\\\"m" }',
+    "block property on a later line":
+        'controller C1 "c \\\\ d" level 1 {\n  process_model "m \\"x\\""\n'
+        '  process_model "n"  # psysafe-allow PSY009 \\\\\n}',
+    "escaped backslash closing a string": 'stakeholder SH1 "\\\\"',
+    "three backslashes before a quote": 'stakeholder SH1 "a \\\\\\" b"',
+    "escape after an allow":
+        'stakeholder SH1 "s"  # psysafe-allow PSY001 \\\\',
+}
+
+
+@pytest.mark.parametrize("text", ESCAPES.values(), ids=ESCAPES)
+def test_escapes_take_the_line_reader(text, monkeypatch):
+    calls = spy_tokenize(monkeypatch)
+    assert_same(text)
+    assert calls == []
+    model, diagnostics, allows = _read_lines(text, "t.psy")
+    assert model.decls and diagnostics == []
+    assert bool(allows) == ("allow" in text)
 
 
 def test_a_continued_declaration_in_the_prelude_takes_the_line_reader(

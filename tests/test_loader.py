@@ -3,7 +3,9 @@ merging raise ``LoadError``; resolution raises ``ResolveError``."""
 
 import pytest
 
-from psysafe.diagnostics import DiagnosticError
+from psysafe.diagnostics import (Diagnostic, DiagnosticError, Severity,
+                                 SourceSpan, format_diagnostic,
+                                 sort_diagnostics)
 from psysafe.loader import LoadError, load_model, load_sources
 from psysafe.model import ResolveError
 
@@ -52,3 +54,32 @@ def test_resolution_raises_resolve_error(text):
         load_sources([("a.psy", text)])
     assert not isinstance(exc.value, LoadError)
     assert {d.rule for d in exc.value.diagnostics} <= {"PSY011", "PSY013"}
+
+
+def test_a_load_error_formats_its_findings_only_when_asked():
+    # The message is built by str(), from the sorted findings; the CLI
+    # prints the findings themselves, so args holds no message.
+    with pytest.raises(LoadError) as exc:
+        load_sources([("b.psy", HEADER + "loss L1 violates ST1 @\n$"),
+                      ("a.psy", "stake ST1 of")])
+    err = exc.value
+    diags = err.diagnostics
+    assert len(diags) > 2 and diags == sort_diagnostics(diags[::-1])
+    assert str(err) == "; ".join(format_diagnostic(d) for d in diags)
+    assert err.args == ()
+    again = LoadError(diags[::-1])
+    assert (again.diagnostics, str(again)) == (diags, str(err))
+
+
+@pytest.mark.parametrize("severity,plain,colored", [
+    (Severity.ERROR, "error", "\x1b[31merror"),
+    (Severity.WARNING, "warning", "\x1b[33mwarning"),
+    (Severity.INFO, "info", "\x1b[36minfo"),
+])
+def test_each_severity_formats_to_the_same_bytes(severity, plain, colored):
+    d = Diagnostic("PSY004", severity, "goal SG1 yields nothing",
+                   SourceSpan("a.psy", 3, 7))
+    assert format_diagnostic(d) == (
+        f"a.psy:3:7: {plain}[PSY004]: goal SG1 yields nothing")
+    assert format_diagnostic(d, color=True) == (
+        f"a.psy:3:7: {colored}[PSY004]\x1b[0m: goal SG1 yields nothing")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from psysafe.loader import load_sources
 from psysafe.model import (ControlAction, ControlStructure, Entity,
                            EntityKind, FeedbackLink, UcaKind)
+from psysafe import structure as structure_module
 from psysafe.structure import uca_category_coverage, validate_structure
 
 from tests.conftest import FUZZ
@@ -171,6 +172,31 @@ def test_loop_closure_is_linear_on_a_deep_chain():
     start = time.perf_counter()
     assert psy010(structure) == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_direct_feedback_closes_a_loop_without_a_walk(monkeypatch):
+    # A chain of 32,000 controllers, each commanding the next, which feeds
+    # straight back: each such loop closes by one lookup, so the walk,
+    # whose masks would be 32,000 bits wide, gets no start. An action that
+    # skips a level closes only through two feedback links: it alone walks.
+    n = 32_000
+    controllers = tuple(Entity(f"C{i}", "c", i, EntityKind.CONTROLLER)
+                        for i in range(1, n + 1))
+    chain = tuple(ControlAction(f"A{i}", "a", f"C{i}", f"C{i + 1}")
+                  for i in range(1, n))
+    feedbacks = tuple(FeedbackLink(f"F{i}", "f", f"C{i + 1}", f"C{i}")
+                      for i in range(1, n))
+    starts = []
+    walk = structure_module._reach_masks
+    monkeypatch.setattr(structure_module, "_reach_masks",
+                        lambda adj, bits, targets: starts.extend(targets)
+                        or walk(adj, bits, targets))
+    assert psy010(ControlStructure(controllers, chain, feedbacks)) == []
+    assert starts == []
+    skip = ControlAction("AX", "a", "C1", "C3")
+    assert psy010(ControlStructure(controllers, chain + (skip,),
+                                   feedbacks)) == []
+    assert starts == ["C3"]
 
 
 def test_coverage_rows_for_corpus(corpus_model):
