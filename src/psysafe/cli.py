@@ -31,7 +31,6 @@ import gc
 import io
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -288,19 +287,6 @@ def _cannot_write(prog: str, exc: OSError | UnicodeEncodeError) -> int:
 _THRESHOLD = (100_000, 50, 1000)
 
 
-@contextmanager
-def _collect_rarely():
-    """Collect at :data:`_THRESHOLD` while a run runs, and restore the
-    caller's threshold after it."""
-    threshold = gc.get_threshold()
-    gc.set_threshold(*_THRESHOLD)
-    try:
-        yield
-    finally:
-        gc.set_threshold(*threshold)
-
-
-@_collect_rarely()
 def _run(argv: Sequence[str]) -> tuple[int, object]:
     """:func:`run`, also returning what the command built: the parsed
     arguments, on which each command leaves its model and results as
@@ -340,13 +326,17 @@ def run(argv: Sequence[str]) -> int:
     --version included. The collector runs rarely during the call, as
     :func:`main` has it; the threshold is restored on return.
     """
-    return _run(argv)[0]
+    threshold = gc.get_threshold()
+    gc.set_threshold(*_THRESHOLD)
+    try:
+        return _run(argv)[0]
+    finally:
+        gc.set_threshold(*threshold)
 
 
 def main() -> None:
     # Start-up's objects live as long as the process, so the collector
-    # skips them. The threshold is _run's own, so restoring it on return
-    # does not set off a collection of the run's objects before the exit.
+    # skips them.
     gc.freeze()
     gc.set_threshold(*_THRESHOLD)
     # UTF-8 whatever the locale; a stream closed at start-up (None) fails.

@@ -145,3 +145,7 @@ class DiagnosticError(Exception):
 
     def __str__(self) -> str:
         return "; ".join(map(format_diagnostic, self.diagnostics))
+
+    def __reduce__(self):
+        # ``args`` is empty, so pickle and copy rebuild from the findings.
+        return type(self), (self.diagnostics,)

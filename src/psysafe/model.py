@@ -415,8 +415,9 @@ class AnalysisModel(namedtuple("AnalysisModel", [
                             (), (), _EMPTY, _EMPTY])):
     """Fully resolved model; all cross-references are known to exist.
 
-    Collections are sorted by entity ID, so two models with the same
-    declarations compare equal regardless of declaration order. Source
+    Collections are sorted by entity ID, and ``assessments`` is keyed, in
+    order, by hazard ID, so two models with the same declarations compare
+    equal, and iterate alike, regardless of declaration order. Source
     spans are excluded from equality. It keeps a ``__dict__`` for its
     cached properties but, like the other records, takes no attribute
     assignment.
@@ -527,14 +528,15 @@ def resolve(model: RawModel) -> AnalysisModel:
     if diags:
         raise ResolveError(diags)
 
-    # Each group at its path, sorted by its key or, when it declares no
-    # IDs, keyed by it.
+    # Each group at its path, sorted by its key: the one place that orders
+    # the model. A group that declares no IDs is keyed by it.
     header = model.header
     fields = {"title": header.title, "sae_level": header.sae_level,
               "boundary": header.boundary, "spans": spans}
     for cls, spec in DECLS.items():
-        key, items = attrgetter(spec.fields[0].attr), groups[cls]
-        value = (tuple(sorted(items, key=key)) if spec.declares_id
+        key = attrgetter(spec.fields[0].attr)
+        items = sorted(groups[cls], key=key)
+        value = (tuple(items) if spec.declares_id
                  else {key(item): item for item in items})
         owner, _, attr = spec.path.rpartition(".")
         if owner:  # a collection of a record held by the model

@@ -48,10 +48,9 @@ def _step(f: Field) -> tuple:
     return f" {f.keyword} " if f.keyword else " ", attrgetter(f.attr), fmt
 
 
-#: (spec, sort key, keyword or None, steps) in table order, which is the
-#: canonical group order; None when the item's kind gives its keyword.
-_PLANS = [(spec, attrgetter(spec.fields[0].attr),
-           spec.keywords[0] if len(spec.keywords) == 1 else None,
+#: (spec, keyword or None, steps) in table order, which is the canonical
+#: group order; None when the item's kind gives its keyword.
+_PLANS = [(spec, spec.keywords[0] if len(spec.keywords) == 1 else None,
            tuple(map(_step, spec.fields)))
           for spec in DECLS.values()]
 
@@ -64,10 +63,9 @@ def print_canonical(model: AnalysisModel) -> str:
     if model.boundary is not None:
         out.append(f"  boundary {_q(model.boundary)}")
     out.append("}")
-    for spec, key, keyword, steps in _PLANS:
-        # Collections are sorted by ID already; assessments are a dict.
-        items = (spec.items(model) if spec.declares_id
-                 else sorted(spec.items(model), key=key))
+    for spec, keyword, steps in _PLANS:
+        # resolve orders each group by ID, assessments by hazard ID.
+        items = spec.items(model)
         if items:
             out.append("")
         for item in items:

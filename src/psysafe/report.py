@@ -78,8 +78,7 @@ def build_report(model: AnalysisModel,
     }
 
     hazard_psysil = []
-    for hazard_id in sorted(model.assessments):
-        a = model.assessments[hazard_id]
+    for hazard_id, a in model.assessments.items():
         level = determine_psysil(a.severity, a.exposure, a.controllability)
         hazard_psysil.append({
             "hazard": hazard_id,

@@ -13,7 +13,7 @@ from operator import gt, lt
 from typing import Mapping
 
 from .diagnostics import Diagnostic, SourceSpan, SYNTHETIC_SPAN, diag
-from .model import AnalysisModel, ControlStructure, EntityKind, Uca, UcaKind
+from .model import AnalysisModel, ControlStructure, EntityKind, UcaKind
 
 _UCA_KINDS = tuple(UcaKind)
 
@@ -29,8 +29,9 @@ def validate_structure(structure: ControlStructure,
     (warning) for human entities without sa_level/psych_state and for
     non-human controllers without a process model.
 
-    Deterministic and order-independent: permuting the declarations never
-    changes the resulting multiset of diagnostics.
+    Findings come check by check, each in the structure's own order, not
+    sorted: :func:`psysafe.lints.analyze` sorts them. Permuting the
+    declarations never changes their multiset.
     """
     spans = spans or {}
 
@@ -40,7 +41,7 @@ def validate_structure(structure: ControlStructure,
     diags: list[Diagnostic] = []
     levels = {e.id: e.level for e in structure.entities}
 
-    for entity in sorted(structure.entities, key=lambda e: e.id):
+    for entity in structure.entities:
         if entity.is_human:
             missing = [name for name, value in
                        (("sa_level", entity.sa_level),
@@ -58,11 +59,11 @@ def validate_structure(structure: ControlStructure,
                 f"controller {entity.id} declares no process_model",
                 span_of(entity.id), (entity.id,)))
 
-    actions = sorted(structure.actions, key=lambda a: a.id)
-    feedbacks = sorted(structure.feedbacks, key=lambda f: f.id)
     for links, wrong, name, way, rule in (
-            (actions, gt, "control action", "up", "commands flow down"),
-            (feedbacks, lt, "feedback", "down", "feedback flows up")):
+            (structure.actions, gt, "control action", "up",
+             "commands flow down"),
+            (structure.feedbacks, lt, "feedback", "down",
+             "feedback flows up")):
         for link in links:
             src, dst = levels.get(link.source), levels.get(link.target)
             if src is not None and dst is not None and wrong(src, dst):
@@ -76,7 +77,7 @@ def validate_structure(structure: ControlStructure,
         feedback_adj.setdefault(fb.source, set()).add(fb.target)
     # An action whose target feeds straight back to its source closes;
     # only the others need a walk.
-    walked = [a for a in actions
+    walked = [a for a in structure.actions
               if a.source not in feedback_adj.get(a.target, ())]
     bits = {source: 1 << i for i, source in
             enumerate(dict.fromkeys(a.source for a in walked))}
@@ -161,18 +162,15 @@ class CoverageRow(namedtuple("CoverageRow", "action by_kind")):
 def uca_category_coverage(model: AnalysisModel) -> list[CoverageRow]:
     """Per control action, the UCAs declared for each of the four kinds.
 
-    One row per control action, always with all four kind columns;
-    actions without any UCA sort first. UCAs attached to feedback links
-    contribute to no row here.
+    One row per control action, in the model's ID order, always with all
+    four kind columns; actions without any UCA sort first. UCAs attached
+    to feedback links contribute to no row here.
     """
-    ucas: dict[str, list[Uca]] = {}
-    for u in model.ucas:
-        ucas.setdefault(u.on, []).append(u)
-    rows = []
-    for action in model.structure.actions:
-        on = ucas.get(action.id, ())
-        rows.append(CoverageRow(action.id, tuple(
-            (kind, tuple(sorted([u.id for u in on if u.kind is kind])))
-            for kind in _UCA_KINDS)))
-    rows.sort(key=lambda r: (not r.uncovered, r.action))
+    ids: dict[tuple[str, UcaKind], list[str]] = {}
+    for u in model.ucas:  # in ID order
+        ids.setdefault((u.on, u.kind), []).append(u.id)
+    rows = [CoverageRow(action.id, tuple(
+        (kind, tuple(ids.get((action.id, kind), ()))) for kind in _UCA_KINDS))
+        for action in model.structure.actions]
+    rows.sort(key=lambda r: not r.uncovered)
     return rows

@@ -1,6 +1,9 @@
 """Which error each loading stage raises: reading, lexing, parsing and
 merging raise ``LoadError``; resolution raises ``ResolveError``."""
 
+import copy
+import pickle
+
 import pytest
 
 from psysafe.diagnostics import (Diagnostic, DiagnosticError, Severity,
@@ -69,6 +72,25 @@ def test_a_load_error_formats_its_findings_only_when_asked():
     assert err.args == ()
     again = LoadError(diags[::-1])
     assert (again.diagnostics, str(again)) == (diags, str(err))
+
+
+@pytest.mark.parametrize("error,text", [
+    (LoadError, "stake ST1 of"),
+    (ResolveError, HEADER + 'loss L1 "l" violates ST9\n'
+                   'loss L1 "m" violates ST8'),
+], ids=["load", "resolve"])
+@pytest.mark.parametrize("again", [
+    lambda err: pickle.loads(pickle.dumps(err)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_diagnostic_error_pickles_and_copies(error, text, again):
+    # args is empty, so the findings alone rebuild the error.
+    with pytest.raises(error) as exc:
+        load_sources([("a.psy", text)])
+    err = exc.value
+    other = again(err)
+    assert type(other) is error and other is not err
+    assert (other.diagnostics, str(other), other.args) == \
+        (err.diagnostics, str(err), ())
 
 
 @pytest.mark.parametrize("severity,plain,colored", [

@@ -6,7 +6,8 @@ import random
 from psysafe.cli import run
 from psysafe.lexer import tokenize
 from psysafe.lints import LintConfig, run_lints
-from psysafe.model import AnalysisModel, resolve
+from psysafe.loader import load_sources
+from psysafe.model import DECLS, AnalysisModel, resolve
 from psysafe.parser import parse
 from psysafe.printer import print_canonical
 from psysafe.report import build_report, emit_json
@@ -94,25 +95,47 @@ def _cli_outputs(files, ids, capsys):
             code, report, code_md, md.partition("## Diagnostics")[0])
 
 
+def _shuffled_split(seed):
+    """Generated model ``seed``, its canonical text, that text's
+    declarations shuffled, the header kept first, and split over one to
+    three texts, and the generator, for further draws."""
+    model = random_model(seed)
+    rng = random.Random(seed)
+    text = print_canonical(model)
+    header, _, body = text.partition("\n}\n")
+    decls = [line + "\n" for line in body.splitlines() if line]
+    rng.shuffle(decls)
+    cuts = sorted(rng.sample(range(1, len(decls)), rng.randint(0, 2)))
+    parts = [decls[a:b] for a, b in zip([0, *cuts], [*cuts, None])]
+    parts[0].insert(0, header + "\n}\n")
+    return model, text, ["".join(part) for part in parts], rng
+
+
+def test_resolve_orders_every_collection_by_its_key():
+    # resolve alone orders the model; the printer, the reports and the
+    # structure checks read it in its order.
+    for seed in range(60):
+        _, _, parts, _ = _shuffled_split(seed)
+        model, _ = load_sources([(f"{i}.psy", p) for i, p in enumerate(parts)])
+        for spec in DECLS.values():
+            if spec.declares_id:
+                ids = [item.id for item in spec.items(model)]
+                assert all(a < b for a, b in zip(ids, ids[1:])), \
+                    (seed, spec.path)
+        assert list(model.assessments) == sorted(model.assessments), seed
+
+
 def test_declaration_order_and_file_split_never_change_the_outputs(
         tmp_path, monkeypatch, capsys):
     # The canonical text in one file against its declarations shuffled,
     # the header kept first, and split over one to three files.
     monkeypatch.chdir(tmp_path)
     for seed in range(60):
-        model = random_model(seed)
-        rng = random.Random(seed)
-        text = print_canonical(model)
-        header, _, body = text.partition("\n}\n")
-        decls = [line + "\n" for line in body.splitlines() if line]
-        rng.shuffle(decls)
-        cuts = sorted(rng.sample(range(1, len(decls)), rng.randint(0, 2)))
-        parts = [decls[a:b] for a, b in zip([0, *cuts], [*cuts, None])]
-        parts[0].insert(0, header + "\n}\n")
+        model, text, parts, rng = _shuffled_split(seed)
         (tmp_path / str(seed)).mkdir()
         split = [f"{seed}/{i}.psy" for i in range(len(parts))]
         for name, part in zip(split, parts):
-            (tmp_path / name).write_text("".join(part), encoding="utf-8")
+            (tmp_path / name).write_text(part, encoding="utf-8")
         canonical = f"{seed}/canonical.psy"
         (tmp_path / canonical).write_text(text, encoding="utf-8")
         ids = rng.sample(list(model.entity_ids), 3)

@@ -132,8 +132,10 @@ def open_loops(structure: ControlStructure) -> list[str]:
 
 
 def psy010(structure: ControlStructure) -> list[str]:
-    return [d.related[0] for d in validate_structure(structure)
-            if d.rule == "PSY010"]
+    # Sorted as open_loops is: validate_structure reports in the
+    # structure's order, which is ID order only on a resolved model.
+    return sorted(d.related[0] for d in validate_structure(structure)
+                  if d.rule == "PSY010")
 
 
 NODES = ["C1", "C2", "C3", "C4", "C5", "C6"]
