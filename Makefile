@@ -1,4 +1,4 @@
-.PHONY: test acceptance regen-goldens goldens bench bench-ab parity bench-record bench-smoke importtime profile loc verify
+.PHONY: test test-py acceptance regen-goldens goldens bench bench-ab parity bench-record bench-smoke importtime profile loc verify
 
 # The tier-1 tests of ROADMAP.md.
 test:
@@ -11,6 +11,20 @@ regen-goldens:
 	python3 scripts/regen_goldens.py
 
 PY ?= python3
+
+# The tier-1 tests under $(PY). When $(PY) has no pytest, they run with
+# python3's: scripts/pure_site.py links python3's pure-Python distributions
+# into .work/pure-site, which goes on PYTHONPATH, and Hypothesis's plugin is
+# loaded by name, as its entry point is not linked. A test that imports a
+# compiled distribution built for python3 alone fails to collect there.
+test-py:
+	@if $(PY) -c 'import pytest' 2>/dev/null; then path=src; plugin=; else \
+	  path=src:$$(python3 scripts/pure_site.py .work/pure-site) || exit 1; \
+	  plugin="-p _hypothesis_pytestplugin"; fi; \
+	echo "PYTHONPATH=$$path $(PY) -m pytest -q" \
+	  "--continue-on-collection-errors $$plugin"; \
+	PYTHONPATH=$$path$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -m pytest -q \
+	  --continue-on-collection-errors $$plugin
 
 # Regenerates every golden under $(PY), as make regen-goldens does (the
 # commands of each row of GOLDENS in scripts/regen_goldens.py, through

@@ -66,8 +66,8 @@ def _checked(convert, valid):
     return read
 
 
-#: The ID list converter: a keyword among them is reported.
-_IDS = _checked(lambda t: frozenset(map(str.strip, t.split(","))),
+#: The ID list converter, to IDs in ID order, each once; reports a keyword.
+_IDS = _checked(lambda t: tuple(sorted(set(map(str.strip, t.split(","))))),
                 KEYWORDS.isdisjoint)
 
 

@@ -216,7 +216,7 @@ class Form(enum.Enum):
     is an enum class holds one member, written as :func:`spelling` says."""
 
     ID = "identifier"
-    IDS = "identifier list"  # ``ID { "," ID }``, a frozenset once parsed
+    IDS = "identifier list"  # ``ID { "," ID }``, read as sorted unique IDs
     STRING = "string"
     INT = "integer"
     BLOCK = "entity block"  # ``{ ... }`` of the declaration's block fields

@@ -107,12 +107,12 @@ class _Parser:
         found = "end of file" if tok is None else repr(tok.text)
         self.fail(f"expected {what} ({', '.join(spelled)}), found {found}")
 
-    def idlist(self) -> frozenset[str]:
+    def idlist(self) -> tuple[str, ...]:
         ids = [self.expect(TokenKind.IDENT, "identifier").text]
         while self.at(","):
             self.advance()
             ids.append(self.expect(TokenKind.IDENT, "identifier").text)
-        return frozenset(ids)
+        return tuple(sorted(set(ids)))
 
     # -- declarations -----------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Canonical ``.psy`` form of a resolved model.
 
 Deterministic: declarations are grouped by kind, sorted by ID inside each
-group, and ID lists are sorted. Re-parsing and resolving the output yields
-a model equal to the input (spans aside).
+group, and ID lists print in the model's order, the ID order both readers
+give them. Re-parsing and resolving the output yields a model equal to the
+input (spans aside).
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from .model import DECLS, AnalysisModel, Entity, Field, Form, spelling
 
 def _q(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _ids(ids: frozenset[str] | tuple[str, ...]) -> str:
-    return ", ".join(sorted(ids))
 
 
 def _entity_props(e: Entity) -> str:
@@ -33,7 +30,7 @@ def _entity_props(e: Entity) -> str:
     return " { " + " ".join(props) + " }" if props else ""
 
 
-_FORMATS = {Form.IDS: _ids, Form.STRING: _q, Form.INT: str}
+_FORMATS = {Form.IDS: ", ".join, Form.STRING: _q, Form.INT: str}
 
 
 def _step(f: Field) -> tuple:

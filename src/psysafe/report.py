@@ -98,7 +98,7 @@ def build_report(model: AnalysisModel,
 
     matrices = {}
     for key, collection, attr, _, _ in _MATRICES:
-        matrices[key] = {d.id: sorted(getattr(d, attr))
+        matrices[key] = {d.id: list(getattr(d, attr))
                          for d in getattr(model, collection)}
 
     diagnostics = analyze(model, config)
@@ -209,7 +209,7 @@ def emit_markdown(report: Report) -> str:
            out)
 
     _section(out, "## Losses", ["ID", "Description", "Violates"],
-             [[l.id, l.description, ", ".join(sorted(l.violates))]
+             [[l.id, l.description, ", ".join(l.violates)]
               for l in model.losses],
              "No losses declared.")
 

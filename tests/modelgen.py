@@ -31,6 +31,13 @@ def _maybe(rng: random.Random, value):
     return value if rng.random() < 0.5 else None
 
 
+def _some_ids(rng: random.Random, items) -> tuple:
+    """The IDs of a non-empty random sample of ``items``, as a reader
+    stores an ID list: sorted, each once."""
+    return tuple(sorted(i.id for i in
+                        rng.sample(items, rng.randint(1, len(items)))))
+
+
 def random_model(seed: int) -> AnalysisModel:
     rng = random.Random(seed)
 
@@ -38,21 +45,12 @@ def random_model(seed: int) -> AnalysisModel:
                     for i in range(1, rng.randint(2, 3))]
     stakes = [Stake(f"ST{i}", _text(rng), rng.choice(stakeholders).id)
               for i in range(1, rng.randint(2, 5))]
-    losses = [Loss(f"L{i}", _text(rng),
-                   frozenset(s.id for s in
-                             rng.sample(stakes,
-                                        rng.randint(1, len(stakes)))))
+    losses = [Loss(f"L{i}", _text(rng), _some_ids(rng, stakes))
               for i in range(1, rng.randint(2, 4))]
-    hazards = [Hazard(f"H{i}", _text(rng),
-                      frozenset(l.id for l in
-                                rng.sample(losses,
-                                           rng.randint(1, len(losses)))),
+    hazards = [Hazard(f"H{i}", _text(rng), _some_ids(rng, losses),
                       _maybe(rng, _text(rng)))
                for i in range(1, rng.randint(2, 5))]
-    goals = [SafetyGoal(f"SG{i}", _text(rng),
-                        frozenset(h.id for h in
-                                  rng.sample(hazards,
-                                             rng.randint(1, len(hazards)))))
+    goals = [SafetyGoal(f"SG{i}", _text(rng), _some_ids(rng, hazards))
              for i in range(1, rng.randint(1, 5))]
 
     entities = []
@@ -82,8 +80,7 @@ def random_model(seed: int) -> AnalysisModel:
         for i in range(1, rng.randint(1, 4)):
             responsibilities.append(Responsibility(
                 f"R{i}", _text(rng), rng.choice(entities).id,
-                frozenset(g.id for g in
-                          rng.sample(goals, rng.randint(1, len(goals))))))
+                _some_ids(rng, goals)))
 
     ucas = []
     on_candidates = actions + feedbacks
@@ -92,9 +89,7 @@ def random_model(seed: int) -> AnalysisModel:
             ucas.append(Uca(
                 f"UCA{i}", rng.choice(on_candidates).id,
                 rng.choice(list(UcaKind)), _text(rng),
-                frozenset(h.id for h in
-                          rng.sample(hazards,
-                                     rng.randint(1, len(hazards))))))
+                _some_ids(rng, hazards)))
 
     scenarios = []
     for_candidates = [u.id for u in ucas] + [a.id for a in actions]

@@ -57,12 +57,12 @@ def _replace_line(text: str, needle: str, replacement: str) -> str:
 
 
 def _drop_losses_link(model: AnalysisModel) -> AnalysisModel:
-    loss = model.losses[0]._replace(violates=frozenset())
+    loss = model.losses[0]._replace(violates=())
     return model._replace(losses=(loss,) + model.losses[1:])
 
 
 def _drop_hazard_link(model: AnalysisModel) -> AnalysisModel:
-    hazard = model.hazards[0]._replace(leads_to=frozenset())
+    hazard = model.hazards[0]._replace(leads_to=())
     return model._replace(hazards=(hazard,) + model.hazards[1:])
 
 

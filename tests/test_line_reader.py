@@ -3,17 +3,18 @@
 ``_read_lines`` must give exactly what the token reader, ``read_source``,
 gives over the whole file: the raw model with every span, the diagnostics
 and the allows. The properties call it directly, so the cut-off that keeps
-small files on the token reader does not apply.
+small files on the token reader does not apply; the ID-list property sets
+that cut-off to 0 instead.
 """
 
 import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psysafe import linereader
+from psysafe import linereader, loader
 from psysafe.diagnostics import DiagnosticError
 from psysafe.lexer import KEYWORDS, tokenize
 from psysafe.linereader import _line_readers, _read_lines
@@ -64,6 +65,50 @@ def modelgen_texts(draw):
 @given(modelgen_texts())
 def test_modelgen_texts_read_alike(text):
     assert_same(text)
+
+
+#: (path of the collection, attributes of its ID lists) per declaration
+#: type that has ID lists; each such collection is held by the model.
+ID_LISTS = [(spec.path, [f.attr for f in spec.fields if f.form is Form.IDS])
+            for spec in DECLS.values()
+            if any(f.form is Form.IDS for f in spec.fields)]
+
+
+@st.composite
+def scrambled_id_lists(draw):
+    """A ``tests/modelgen`` model, and its text with each ID list written
+    in shuffled order, one ID of it sometimes named twice."""
+    model = random_model(draw(st.integers(0, 10_000)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def scramble(ids: tuple) -> tuple:
+        ids = list(ids) + ([rng.choice(ids)] if rng.random() < 0.5 else [])
+        rng.shuffle(ids)
+        return tuple(ids)
+
+    scrambled = model._replace(**{
+        path: tuple(item._replace(**{a: scramble(getattr(item, a))
+                                     for a in attrs})
+                    for item in getattr(model, path))
+        for path, attrs in ID_LISTS})
+    return model, print_canonical(scrambled)
+
+
+@settings(FUZZ, max_examples=40)
+@given(scrambled_id_lists())
+def test_both_readers_store_id_lists_sorted_and_once(case):
+    model, text = case
+    canonical = print_canonical(model)
+    for threshold in (FAST_MIN_CHARS, 0):  # the token reader, the lines'
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loader, "FAST_MIN_CHARS", threshold)
+            loaded, _ = load_sources([("t.psy", text)])
+        for path, attrs in ID_LISTS:
+            for item in getattr(loaded, path):
+                for attr in attrs:
+                    ids = getattr(item, attr)
+                    assert all(a < b for a, b in zip(ids, ids[1:])), ids
+        assert print_canonical(loaded) == canonical
 
 
 @FUZZ

@@ -55,13 +55,20 @@ def test_every_dangling_reference_is_reported():
     with pytest.raises(ResolveError) as exc:
         resolve_text('analysis "t" { sae_level = 2 }\n'
                      'loss L1 "l" violates ST1, ST2\n'
-                     'hazard H1 "h" leads_to L1, L9')
+                     'hazard H1 "h" leads_to L1, L9\n'
+                     'assess H9 severity S1 exposure E1 controllability C1')
     rules = [d.rule for d in exc.value.diagnostics]
-    assert rules == ["PSY011", "PSY011", "PSY011"]
+    assert rules == ["PSY011", "PSY011", "PSY011", "PSY011"]
+    # An assessment declares no ID: it is named by the hazard it assesses.
+    last = exc.value.diagnostics[-1]
+    assert last.message == \
+        "unknown hazard 'H9' referenced by assessment of 'H9'"
+    assert last.related == ("assessment of 'H9'", "H9")
 
 
 def test_repeated_unknown_reference_is_one_psy011():
-    # ID lists are sets, so naming the same unknown ID twice is one finding.
+    # An ID list holds each ID once, so naming the same unknown ID twice is
+    # one finding.
     with pytest.raises(ResolveError) as exc:
         resolve_text('analysis "t" { sae_level = 2 }\n'
                      'loss L1 "l" violates ST9, ST9')
@@ -85,10 +92,15 @@ def test_wrong_kind_reference_is_psy011():
         resolve_text('analysis "t" { sae_level = 2 }\n'
                      'stakeholder SH1 "s"\n'
                      'stake ST1 "st" of SH1\n'
-                     'loss L1 "l" violates SH1')
+                     'loss L1 "l" violates SH1\n'
+                     'assess L1 severity S1 exposure E1 controllability C1')
     d = exc.value.diagnostics[0]
     assert d.rule == "PSY011"
     assert "stakeholder" in d.message
+    d = exc.value.diagnostics[1]
+    assert (d.rule, d.message, d.related) == (
+        "PSY011", "hazard of assessment of 'L1' must reference a hazard, "
+        "but 'L1' is a loss", ("assessment of 'L1'", "L1"))
 
 
 def test_duplicate_id_is_psy013():
@@ -142,16 +154,16 @@ def test_ids_unique_and_references_closed(corpus_model):
     assert len(ids) == len(set(ids))
     known = set(ids)
     for loss in model.losses:
-        assert loss.violates and loss.violates <= known
+        assert loss.violates and known.issuperset(loss.violates)
     for hazard in model.hazards:
-        assert hazard.leads_to and hazard.leads_to <= known
+        assert hazard.leads_to and known.issuperset(hazard.leads_to)
     for goal in model.goals:
-        assert goal.prevents and goal.prevents <= known
+        assert goal.prevents and known.issuperset(goal.prevents)
     for resp in model.responsibilities:
-        assert resp.derived_from and resp.derived_from <= known
+        assert resp.derived_from and known.issuperset(resp.derived_from)
         assert resp.assignee in known
     for uca in model.ucas:
-        assert uca.hazards and uca.hazards <= known
+        assert uca.hazards and known.issuperset(uca.hazards)
         assert uca.on in known
     for scenario in model.scenarios:
         assert scenario.for_ref in known

@@ -19,7 +19,7 @@ def test_loss_declaration():
     model, diags = parse_text('loss L1 "Loss of trust" violates ST1')
     assert not diags
     assert model.decls == (
-        (Loss("L1", "Loss of trust", frozenset({"ST1"})),
+        (Loss("L1", "Loss of trust", ("ST1",)),
          model.decls[0][1]),)
     assert model.decls[0][1].start_col == 1
 
@@ -45,7 +45,7 @@ def test_hazard_with_context():
     assert not diags
     hazard, _ = model.decls[0]
     assert isinstance(hazard, Hazard)
-    assert hazard.leads_to == frozenset({"L1", "L2"})
+    assert hazard.leads_to == ("L1", "L2")
     assert hazard.context == "raining"
 
 
@@ -62,7 +62,7 @@ def test_uca_parses_kind_and_hazards():
     uca, _ = model.decls[0]
     assert isinstance(uca, Uca)
     assert uca.kind is UcaKind.PROVIDED
-    assert uca.hazards == frozenset({"H1", "H2"})
+    assert uca.hazards == ("H1", "H2")
 
 
 def test_entity_block_properties():

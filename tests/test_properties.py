@@ -24,13 +24,13 @@ def test_generated_models_satisfy_model_invariants():
         assert len(ids) == len(set(ids)), f"seed {seed}"
         known = set(ids)
         for loss in model.losses:
-            assert loss.violates and loss.violates <= known
+            assert loss.violates and known.issuperset(loss.violates)
         for hazard in model.hazards:
-            assert hazard.leads_to and hazard.leads_to <= known
+            assert hazard.leads_to and known.issuperset(hazard.leads_to)
         for goal in model.goals:
-            assert goal.prevents and goal.prevents <= known
+            assert goal.prevents and known.issuperset(goal.prevents)
         for resp in model.responsibilities:
-            assert resp.derived_from and resp.derived_from <= known
+            assert resp.derived_from and known.issuperset(resp.derived_from)
         assert 2 <= model.sae_level <= 5
 
 

@@ -79,7 +79,7 @@ def test_goal_psysil_takes_the_worst_hazard():
     model = model._replace(assessments={
         "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
     })
-    goal = SafetyGoal("G9", "g", frozenset({"H1"}))
+    goal = SafetyGoal("G9", "g", ("H1",))
     assert goal_psysil(goal, model) is PsySilLevel.A
 
     model = model._replace(assessments={
@@ -94,30 +94,28 @@ def test_goal_over_hazards_rated_a_and_b_inherits_b():
 
     model, _ = load_clean()
     S, E, C = SeverityClass, ExposureClass, ControllabilityClass
-    extra = Hazard("H2", "second", frozenset({"L1"}))
+    extra = Hazard("H2", "second", ("L1",))
     model = model._replace(
         hazards=model.hazards + (extra,),
         assessments={
             "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
             "H2": RiskAssessment("H2", S.S2, E.E4, C.C2),   # B
         })
-    goal = SafetyGoal("GA", "g", frozenset(["H1", "H2"]))
+    goal = SafetyGoal("GA", "g", ("H1", "H2"))
     assert goal_psysil(goal, model) is PsySilLevel.B
 
 
 def test_goal_psysil_is_order_independent():
-    from psysafe.model import Hazard, RiskAssessment
-    from tests.mutations import load_clean
+    # An ID list is read in ID order, so the order it is written in makes
+    # no difference to the goal, nor to the level it inherits.
+    from tests.mutations import CLEAN_PSY, load_clean
 
-    model, _ = load_clean()
-    S, E, C = SeverityClass, ExposureClass, ControllabilityClass
-    extra = Hazard("H2", "second", frozenset({"L1"}))
-    model = model._replace(
-        hazards=model.hazards + (extra,),
-        assessments={
-            "H1": RiskAssessment("H1", S.S2, E.E4, C.C1),   # A
-            "H2": RiskAssessment("H2", S.S2, E.E4, C.C3),   # C
-        })
-    a = SafetyGoal("GA", "g", frozenset(["H1", "H2"]))
-    b = SafetyGoal("GB", "g", frozenset(["H2", "H1"]))
-    assert goal_psysil(a, model) == goal_psysil(b, model) == PsySilLevel.C
+    extra = ('hazard H2 "second" leads_to L1\n'
+             "assess H2 severity S2 exposure E4 controllability C3\n")  # C
+    goals = []
+    for prevents in ("H1, H2", "H2, H1"):
+        model, _ = load_clean(CLEAN_PSY + extra +
+                              f'goal GA "g" prevents {prevents}\n')
+        goals.append(next(g for g in model.goals if g.id == "GA"))
+        assert goal_psysil(goals[-1], model) is PsySilLevel.C  # H1 is A
+    assert goals[0] == goals[1] == SafetyGoal("GA", "g", ("H1", "H2"))

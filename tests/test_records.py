@@ -88,7 +88,7 @@ def test_model_equality_ignores_spans(corpus_model):
 
 
 def test_kind_of_follows_a_replaced_model(corpus_model):
-    extra = Hazard("H99", "new", frozenset({"L1"}))
+    extra = Hazard("H99", "new", ("L1",))
     grown = corpus_model._replace(hazards=corpus_model.hazards + (extra,))
     assert grown.kind_of("H99") is EntityKind.HAZARD
     assert corpus_model.kind_of("H99") is None
